@@ -8,7 +8,7 @@ of a tuple are padded on the right with ``#`` to a common length and read in
 lockstep as one word over tuple letters (the all-``#`` letter never occurs).
 Every first-order operation is then an automaton construction -- products
 for the connectives, track erasure plus determinization for ``exists``, and
-a weighted determinization over a small counting semiring for the counting
+a residual construction over a small counting semiring for the counting
 quantifiers ``exists-even`` / ``exists-odd`` / ``exists-inf`` /
 ``exists-unique``.
 
@@ -17,13 +17,16 @@ Counting quantifiers count *vertices*, not code words, so
 length-lexicographically least code of every equality class;
 ``eval_formula`` applies it automatically.
 
-The semiring determinization works per input prefix: a vector assigns each
-state of the base automaton the count class of code words for the erased
-track that reach it.  When the kept tracks end, each vector entry is
-combined with a precomputed tail weight -- the count class of accepting
-continuations read on letters that are blank everywhere except the erased
-track -- obtained by cycle analysis plus dynamic programming on the acyclic
-part.
+Counting is a backward residual closure followed by a forward subset
+construction.  The final weights give each state of the base automaton the
+count class of the completions that end from it, those read on letters
+blank on every kept track included (cycle analysis plus dynamic programming
+on the acyclic part).  Reading kept-track letters backwards from the final
+weights reaches only a few residual vectors.  A kept-track prefix is then
+known by the set of residuals whose weighted total falls in the counted
+class, and one more letter acts on that set through the residuals'
+successor table.  This is Schützenberger's Hankel view of weighted
+automata, run as a double reversal.
 """
 
 from __future__ import annotations
@@ -269,8 +272,10 @@ class Dfa:
         return self.product(other, lambda x, y: x != y).is_empty()
 
 
-def _determinize(alphabet, start_set, move, accept_pred) -> Dfa:
-    """Subset construction; `move(frozenset, symbol) -> frozenset`."""
+def _determinize(alphabet, start_set, move, accept_pred, on_grow=None) -> Dfa:
+    """Subset construction; `move(frozenset, symbol) -> frozenset`.
+    `on_grow(count)` sees the state count after each new state and may
+    raise to stop the construction."""
     syms = sorted(alphabet)
     start = frozenset(start_set)
     table = {}
@@ -284,6 +289,8 @@ def _determinize(alphabet, start_set, move, accept_pred) -> Dfa:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
+                if on_grow is not None:
+                    on_grow(len(seen))
     accepting = {s for s in seen if accept_pred(s)}
     return Dfa(alphabet, seen, start, accepting, table)
 
@@ -596,7 +603,13 @@ def project_exists(a: RelationAutomaton, track: Optional[int] = None) -> Relatio
     return relation(a.sigma, m, det)
 
 
-_COUNTING_MODES = ("even", "odd", "infinite", "exactly_one")
+# The test each counting mode puts to a count class.
+_COUNTING_TESTS = {"even": "is_even", "odd": "is_odd",
+                   "infinite": "is_infinite", "exactly_one": "is_exactly_one"}
+
+# Bounds each of the two constructions in counting_project: the residual
+# closure and the subset construction over it (up to 2^residuals states).
+_COUNTING_LIMIT = 200_000
 
 
 def counting_project(a: RelationAutomaton, mode: str,
@@ -607,145 +620,100 @@ def counting_project(a: RelationAutomaton, mode: str,
     even/odd mean finite-and-of-that-parity (zero is even); infinite means
     infinitely many completions; exactly_one means precisely one.
     """
-    if mode not in _COUNTING_MODES:
+    if mode not in _COUNTING_TESTS:
         raise GraphError("unknown counting mode %r" % (mode,))
     if a.arity == 0:
         raise ArityMismatch("nothing to count in a nullary relation")
     sr = semiring or CountSemiring()
+    matches = lambda c: getattr(c, _COUNTING_TESTS[mode])
     A = a.dfa
-    n = a.arity
-    m = n - 1
+    m = a.arity - 1
     syms = sorted(a.sigma)
     tail_letters = [(PAD,) * m + (b,) for b in syms]
-
     tail_next = {q: [A.transitions[(q, t)] for t in tail_letters] for q in A.states}
     from_state = _path_count_classes(A.states, tail_next, A.accepting, sr)
-    acc_cls = {q: sr.one if q in A.accepting else sr.zero for q in A.states}
-    tail = {q: sr.sum(from_state[p] for p in tail_next[q]) for q in A.states}
-
-    # states that can never reach acceptance contribute nothing to any
-    # total; dropping their entries keeps the dead sink's ballooning tally
-    # from blowing up the subset construction
-    backward: Dict[object, List[object]] = {q: [] for q in A.states}
-    for (q, _sym), t in A.transitions.items():
-        backward[t].append(q)
-    useful = set(A.accepting)
-    frontier = deque(useful)
-    while frontier:
-        t = frontier.popleft()
-        for q in backward[t]:
-            if q not in useful:
-                useful.add(q)
-                frontier.append(q)
-
-    def final(q, reading):
-        # a path ending live on the counted track stands for the word that
-        # stops right here plus every proper continuation
-        return sr.add(acc_cls[q], tail[q]) if reading else acc_cls[q]
-
-    def matches(total: CountClass) -> bool:
-        if mode == "even":
-            return total.is_even
-        if mode == "odd":
-            return total.is_odd
-        if mode == "infinite":
-            return total.is_infinite
-        return total.is_exactly_one
-
+    # final weights: a path whose counted word has ended counts once if it
+    # accepts; one still reading that word also counts every continuation
+    done = {q: sr.one if q in A.accepting else sr.zero for q in A.states}
+    live = {q: sr.sum([done[q]] + [from_state[p] for p in tail_next[q]])
+            for q in A.states}
     if m == 0:
-        return _nullary(a.sigma, matches(final(A.start, True)))
+        return _nullary(a.sigma, matches(live[A.start]))
 
-    # The subset construction below is the hot path, so everything runs on
-    # small integers: count classes become table indices (the tables are
-    # built from the semiring's own add/mul, not re-derived), states become
-    # positions in a byte vector, and each vector of per-state tallies is a
-    # bytes key.  A slot for (state, still-reading) sits at idx, its
-    # payload-exhausted twin at n_st + idx; the final slot is a trash target
-    # for moves into useless states and is wiped before the vector is frozen.
-    els = list(sr.elements)
-    eid = {c: i for i, c in enumerate(els)}
-    add_tbl = [[eid[sr.add(x, y)] for y in els] for x in els]
-    mul_tbl = [[eid[sr.mul(x, y)] for y in els] for x in els]
-    match_id = [matches(c) for c in els]
+    # Totals are only ever added from here on, so count classes are merged
+    # into the coarsest additive congruence that refines `matches`: two
+    # classes stay apart only if adding a common class can set them apart
+    # under the test (three blocks for parity or exactly one, two for
+    # infinity).  Sums start from a summand, never from a presumed zero.
+    els = sr.elements
+    block = {c: matches(c) for c in els}
+    count = 0
+    while len(set(block.values())) != count:
+        count = len(set(block.values()))
+        block = {c: (block[c],) + tuple(block[sr.add(c, d)] for d in els)
+                 for c in els}
+    blocks = list(dict.fromkeys(block.values()))
+    code = {c: blocks.index(block[c]) for c in els}
+    reps = [next(c for c in els if code[c] == k) for k in range(len(blocks))]
+    plus = [[code[sr.add(x, y)] for y in reps] for x in reps]
+    hit = [matches(x) for x in reps]
 
-    states_list = sorted(A.states, key=repr)
-    idx = {q: i for i, q in enumerate(states_list)}
+    # Slot k is state k still reading the counted word, slot n_st + k the
+    # same state after that word ended.  A kept-track prefix w leaves a row
+    # vector alpha_w of completion counts over the slots, with total
+    # alpha_w . f.  Rather than explore the rows forward, close f backward
+    # under the column moves M_a -- slot s of M_a c sums c over the slots
+    # that s reaches on a -- since alpha_wa . c = alpha_w . M_a c.
+    states_list = list(A.states)
+    idx = {q: k for k, q in enumerate(states_list)}
     n_st = len(states_list)
-    trash = 2 * n_st
-    length = trash + 1
-
-    new_alpha = conv_alphabet(a.sigma, m)
-    alpha = sorted(new_alpha)
-    programs = []
+    alpha = sorted(conv_alphabet(a.sigma, m))
+    moves = []
     for sym in alpha:
-        read_rows = []
-        pad_row = []
-        for q in states_list:
-            row = []
-            for b in syms:
-                t = A.transitions[(q, sym + (b,))]
-                row.append(idx[t] if t in useful else trash)
-            read_rows.append(tuple(row))
-            t = A.transitions[(q, sym + (PAD,))]
-            pad_row.append(n_st + idx[t] if t in useful else trash)
-        programs.append((tuple(read_rows), tuple(pad_row)))
+        pad_src = [(n_st + idx[A.transitions[(q, sym + (PAD,))]],)
+                   for q in states_list]
+        moves.append([tuple(idx[A.transitions[(q, sym + (b,))]] for b in syms)
+                      + src for q, src in zip(states_list, pad_src)] + pad_src)
 
-    final_read = [eid[sr.add(acc_cls[q], tail[q])] for q in states_list]
-    final_pad = [eid[acc_cls[q]] for q in states_list]
+    def check_size(forward: int) -> None:
+        if max(len(residuals), forward) > _COUNTING_LIMIT:
+            raise GraphError(
+                "counting projection exploded: %d residuals and %d forward "
+                "states (limit %d each) from a relation of %d states; "
+                "simplify the relation first"
+                % (len(residuals), forward, _COUNTING_LIMIT, n_st))
 
-    def advance(vec, prog):
-        read_rows, pad_row = prog
-        add = add_tbl
-        out = bytearray(length)
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            if i < n_st:
-                for j in read_rows[i]:
-                    out[j] = add[out[j]][c]
-                j = pad_row[i]
-            else:
-                j = pad_row[i - n_st]
-            out[j] = add[out[j]][c]
-        out[trash] = 0
-        return bytes(out)
+    f = tuple(code[live[q]] for q in states_list) + tuple(
+        code[done[q]] for q in states_list)
+    residuals = [f]
+    number = {f: 0}
+    succ = []
+    for c in residuals:                 # grows while it is walked
+        row = {}
+        for sym, sources in zip(alpha, moves):
+            out = []
+            for src in sources:
+                t = c[src[0]]
+                for j in src[1:]:
+                    t = plus[t][c[j]]
+                out.append(t)
+            out = tuple(out)
+            if out not in number:
+                number[out] = len(residuals)
+                residuals.append(out)
+                check_size(0)
+            row[sym] = number[out]
+        succ.append(row)
 
-    def total_matches(vec):
-        t = 0
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            f = final_read[i] if i < n_st else final_pad[i - n_st]
-            t = add_tbl[t][mul_tbl[c][f]]
-        return match_id[t]
-
-    start = bytearray(length)
-    if A.start in useful:
-        start[idx[A.start]] = eid[sr.one]
-    start = bytes(start)
-
-    seen = {start: 0}
-    order = [start]
-    table = {}
-    queue = deque([start])
-    while queue:
-        vec = queue.popleft()
-        vid = seen[vec]
-        for k, prog in enumerate(programs):
-            nxt = advance(vec, prog)
-            tid = seen.get(nxt)
-            if tid is None:
-                tid = len(order)
-                seen[nxt] = tid
-                order.append(nxt)
-                queue.append(nxt)
-                if len(order) > 200_000:
-                    raise GraphError("counting projection exploded; "
-                                     "simplify the relation first")
-            table[(vid, alpha[k])] = tid
-    accepting = {i for i, vec in enumerate(order) if total_matches(vec)}
-    det = Dfa(new_alpha, range(len(order)), 0, accepting, table).minimized()
-    return relation(a.sigma, m, det)
+    # A prefix w is known by the residuals its total matches, {i : alpha_w .
+    # c_i matches}: reading a keeps i iff it kept the a-successor of i, and
+    # w is accepted iff it keeps c_0 = f.
+    start = idx[A.start]
+    det = _determinize(
+        alpha, [i for i, c in enumerate(residuals) if hit[c[start]]],
+        lambda s, sym: frozenset(i for i, row in enumerate(succ) if row[sym] in s),
+        lambda s: 0 in s, on_grow=check_size)
+    return relation(a.sigma, m, det.minimized())
 
 
 def _path_count_classes(states, next_map, accepting, sr: CountSemiring):

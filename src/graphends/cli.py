@@ -159,10 +159,16 @@ def _load_presentation(literal: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _vertex(g, given: Optional[int]) -> int:
+    """An explicit vertex flag, or the graph's basepoint when omitted."""
+    return g.basepoint if given is None else given
+
+
 def _cmd_ball(args) -> int:
     g = parse_graph_spec(args.graph)
-    b = ball(g, args.center, args.radius)
-    _header("ball", [("graph", args.graph), ("center", args.center),
+    center = _vertex(g, args.center)
+    b = ball(g, center, args.radius)
+    _header("ball", [("graph", args.graph), ("center", center),
                      ("radius", args.radius)])
     print("vertices: %d   edges: %d" % (len(b.vertices), len(b.edges)))
     vs = sorted(b.vertices)
@@ -307,11 +313,12 @@ def _cmd_path_extend(args) -> int:
 def _cmd_greedy_path(args) -> int:
     g = parse_graph_spec(args.graph)
     fuel = _fuel(args)
-    _header("greedy-path", [("graph", args.graph), ("start", args.start),
+    start = _vertex(g, args.start)
+    _header("greedy-path", [("graph", args.graph), ("start", start),
                             ("length", args.length), ("ends", args.ends),
                             ("witness", args.witness), _fuel_pair(fuel)])
     cert = _certificate(g, args, fuel)
-    got = greedy_infinite_path(g, args.start, cert, args.length, fuel)
+    got = greedy_infinite_path(g, start, cert, args.length, fuel)
     if isinstance(got, Unknown):
         print("Unknown (radius budget %d exhausted)" % fuel.max_radius)
         return 2
@@ -410,11 +417,12 @@ def _cmd_automatic_euler(args) -> int:
 
 def _cmd_dot_export(args) -> int:
     g = parse_graph_spec(args.graph)
-    b = ball(g, args.center, args.radius)
+    center = _vertex(g, args.center)
+    b = ball(g, center, args.radius)
     removed = parse_edges(args.edges) if args.edges else frozenset()
     name = re.sub(r"\W+", "_", args.graph).strip("_") or "g"
     dot = to_dot(b, removed, name=name)
-    pairs = [("graph", args.graph), ("center", args.center),
+    pairs = [("graph", args.graph), ("center", center),
              ("radius", args.radius), ("edges", fmt_edges(removed))]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -460,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ball", help="extract an induced ball")
     _add_graph(sp)
-    sp.add_argument("--center", type=int, default=0)
+    sp.add_argument("--center", type=int, default=None,
+                    help="default: the graph's basepoint")
     sp.add_argument("--radius", type=int, required=True)
     sp.set_defaults(func=_cmd_ball)
 
@@ -527,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("greedy-path",
                         help="grow a simple path without backtracking")
     _add_graph(sp)
-    sp.add_argument("--start", type=int, default=0)
+    sp.add_argument("--start", type=int, default=None,
+                    help="default: the graph's basepoint")
     sp.add_argument("--length", type=int, required=True)
     _add_cert(sp)
     _add_fuel(sp)
@@ -569,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dot-export", help="DOT rendering of a ball")
     _add_graph(sp)
-    sp.add_argument("--center", type=int, default=0)
+    sp.add_argument("--center", type=int, default=None,
+                    help="default: the graph's basepoint")
     sp.add_argument("--radius", type=int, required=True)
     sp.add_argument("--edges", default="",
                     help="removed edges to draw dashed")

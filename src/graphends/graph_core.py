@@ -51,7 +51,10 @@ class GraphError(Exception):
 
 
 class InvalidVertex(GraphError):
-    pass
+    """Raised with the vertex that is not in the graph as its argument."""
+
+    def __str__(self):
+        return "vertex %s is not in the graph" % (self.args[0],)
 
 
 class InvalidEdge(GraphError):

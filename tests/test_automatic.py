@@ -1,10 +1,12 @@
 """Automatic presentations: automaton algebra, counting quantifiers, eval."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphends import automatic
 from graphends.automatic import (
     PAD, CountClass, CountSemiring, Dfa, FormulaSyntaxError, Presentation,
     PresentationFormatError, RelationAutomaton,
@@ -27,37 +29,48 @@ def unary_words(n):
     return ("1",) * n
 
 
-def random_presentation(rng):
+def draw_presentation(rng):
     """Identity-equality presentation with a random domain and a random
     symmetrized adjacency, both over {0,1} with at most 3 states.
 
     Adjacency tables with 4+ states occasionally produce counting
     projections whose minimal result automaton is genuinely exponential
     (the per-state path-count parities evolve like a random linear map,
-    so almost all prefixes stay distinguishable).  Three states keeps
-    every battery formula well inside the projection's state budget; a
-    probe below redraws the rare stragglers.
+    so almost all prefixes stay distinguishable).
     """
     while True:
-        while True:
-            n = rng.randint(1, 3)
-            table = {(q, a): rng.randrange(n) for q in range(n) for a in SIGMA}
-            accepting = {q for q in range(n) if rng.random() < 0.6}
-            dom = Dfa(SIGMA, range(n), 0, accepting, table)
-            if len(enumerate_domain(dom, 5)) >= 3:
-                break
-        conv2 = sorted(conv_alphabet(SIGMA, 2))
-        m = rng.randint(1, 3)
-        table2 = {(q, t): rng.randrange(m) for q in range(m) for t in conv2}
-        acc2 = {q for q in range(m) if rng.random() < 0.5}
-        half = relation(SIGMA, 2, Dfa(conv2, range(m), 0, acc2, table2))
-        sym = boolean_op(half, permute_tracks(half, (1, 0)), "or")
-        dom1 = relation(SIGMA, 1, dom.map_symbols(lambda a: (a,), conv_alphabet(SIGMA, 1)))
-        both = boolean_op(cylindrify(dom1, 1), cylindrify(dom1, 0), "and")
-        p = Presentation(
-            frozenset(SIGMA), dom,
-            boolean_op(sym, both, "and"),
-            boolean_op(word_equality(SIGMA), both, "and"))
+        n = rng.randint(1, 3)
+        table = {(q, a): rng.randrange(n) for q in range(n) for a in SIGMA}
+        accepting = {q for q in range(n) if rng.random() < 0.6}
+        dom = Dfa(SIGMA, range(n), 0, accepting, table)
+        if len(enumerate_domain(dom, 5)) >= 3:
+            break
+    conv2 = sorted(conv_alphabet(SIGMA, 2))
+    m = rng.randint(1, 3)
+    table2 = {(q, t): rng.randrange(m) for q in range(m) for t in conv2}
+    acc2 = {q for q in range(m) if rng.random() < 0.5}
+    half = relation(SIGMA, 2, Dfa(conv2, range(m), 0, acc2, table2))
+    sym = boolean_op(half, permute_tracks(half, (1, 0)), "or")
+    dom1 = relation(SIGMA, 1, dom.map_symbols(lambda a: (a,), conv_alphabet(SIGMA, 1)))
+    both = boolean_op(cylindrify(dom1, 1), cylindrify(dom1, 0), "and")
+    return Presentation(
+        frozenset(SIGMA), dom,
+        boolean_op(sym, both, "and"),
+        boolean_op(word_equality(SIGMA), both, "and"))
+
+
+def random_presentation(rng):
+    """`draw_presentation`, redrawn while a probe sentence raises.
+
+    The probe guards against counting projections that pass their state
+    bound; under an earlier construction about one draw in 300 did (see
+    `test_unprobed_draw_278_evaluates_and_counts_exactly`).  It stays, but
+    it redraws nothing on the seeds this suite uses (7, 99, 424242 and
+    20260823), and it redrew nothing there before either, so the draws are
+    unchanged.
+    """
+    while True:
+        p = draw_presentation(rng)
         try:
             eval_sentence(p, "(forall u (exists-even v (adj u v)))")
         except GraphError:
@@ -316,28 +329,94 @@ def length_band(max_diff=2):
     return relation(SIGMA, 2, Dfa.make(conv_alphabet(SIGMA, 2), "run", accepting, table))
 
 
-def test_counting_against_exhaustive_counts_on_randoms():
+def assert_band_counts(p, modes=("even", "odd", "exactly_one")):
+    """On the length-banded adjacency of p, the counting projections agree
+    with exhaustive degree counts for every domain word of length <= 4."""
     # intersecting with a length band makes every section provably finite
-    # and fully visible to plain enumeration, so the weighted-determinization
-    # counts can be checked exactly
+    # and fully visible to plain enumeration, so the counts can be checked
+    # exactly
+    rel = boolean_op(guarded_adjacency(p), length_band(2), "and")
+    words = enumerate_domain(p.domain, 7)
+    short = [u for u in words if len(u) <= 4]
+    by_mode = {m: counting_project(rel, m) for m in modes}
+    assert counting_project(rel, "infinite").is_empty()
+    for u in short:
+        degree = sum(
+            1 for v in words
+            if abs(len(u) - len(v)) <= 2
+            and run_dfa(p.adjacency.dfa, convolution((u, v))))
+        want = {"even": degree % 2 == 0, "odd": degree % 2 == 1,
+                "exactly_one": degree == 1}
+        for m in modes:
+            assert by_mode[m].accepts((u,)) == want[m], (m, u)
+
+
+def test_counting_against_exhaustive_counts_on_randoms():
     rng = random.Random(20260823)
-    band = length_band(2)
+    for _ in range(8):
+        assert_band_counts(random_presentation(rng))
+
+
+def test_unprobed_draw_278_evaluates_and_counts_exactly():
+    # draw 278 of seed 1, taken without random_presentation's probe, has a
+    # 104-state adjacency; every sentence must evaluate on it
+    rng = random.Random(1)
+    for _ in range(279):
+        p = draw_presentation(rng)
+    assert len(p.adjacency.dfa.states) == 104
+    for sentence in BATTERY + EULER_SENTENCES:
+        assert eval_sentence(p, sentence) in (True, False), sentence
+    # even and odd are left out: on the banded relation their minimal
+    # automaton has 135,147 states, and the residual closure passes its
+    # bound before reaching it
+    assert_band_counts(p, modes=("exactly_one",))
+
+
+class ZeroLastSemiring(CountSemiring):
+    """The count semiring with its elements listed backwards."""
+
+    @property
+    def elements(self):
+        return tuple(reversed(super().elements))
+
+
+def test_counting_ignores_the_order_of_semiring_elements():
+    zero_last = ZeroLastSemiring()
+    assert zero_last.elements[-1] == zero_last.zero
+    nat = nat_line_presentation()
+    dom = domain_as_relation(nat)
+    every_pair = boolean_op(cylindrify(dom, 1), cylindrify(dom, 0), "and")
+    rels = [guarded_adjacency(nat), every_pair]
+    rng = random.Random(20260823)
     for _ in range(8):
         p = random_presentation(rng)
-        rel = boolean_op(guarded_adjacency(p), band, "and")
-        words = enumerate_domain(p.domain, 7)
-        short = [u for u in words if len(u) <= 4]
-        by_mode = {m: counting_project(rel, m)
-                   for m in ("even", "odd", "exactly_one", "infinite")}
-        assert by_mode["infinite"].is_empty()
-        for u in short:
-            degree = sum(
-                1 for v in words
-                if abs(len(u) - len(v)) <= 2
-                and run_dfa(p.adjacency.dfa, convolution((u, v))))
-            assert by_mode["even"].accepts((u,)) == (degree % 2 == 0), u
-            assert by_mode["odd"].accepts((u,)) == (degree % 2 == 1), u
-            assert by_mode["exactly_one"].accepts((u,)) == (degree == 1), u
+        rels.append(boolean_op(guarded_adjacency(p), length_band(2), "and"))
+    for rel in rels:
+        for mode in ("even", "odd", "infinite", "exactly_one"):
+            assert counting_project(rel, mode, zero_last).equivalent(
+                counting_project(rel, mode)), mode
+
+
+def nth_letter_from_the_end(k):
+    """Pairs (u, empty word) whose u has a 1 as its k-th letter from the
+    end: few backward residuals, 2**k forward subsets."""
+    windows = ["".join(w) for n in range(k + 1)
+               for w in itertools.product(SIGMA, repeat=n)]
+    table = {(w, (x, PAD)): (w + x)[-k:] for w in windows for x in SIGMA}
+    accepting = {w for w in windows if len(w) == k and w[0] == "1"}
+    return relation(SIGMA, 2, Dfa.make(conv_alphabet(SIGMA, 2), "", accepting, table))
+
+
+@pytest.mark.parametrize("limit,residuals,forward", [(2, 3, 0), (6, 5, 7)])
+def test_counting_overflow_names_both_sizes(monkeypatch, limit, residuals, forward):
+    rel = nth_letter_from_the_end(3)
+    assert len(counting_project(rel, "exactly_one").dfa.states) == 2 ** 3
+    monkeypatch.setattr(automatic, "_COUNTING_LIMIT", limit)
+    with pytest.raises(GraphError) as info:
+        counting_project(rel, "exactly_one")
+    assert ("%d residuals and %d forward states" % (residuals, forward)
+            in str(info.value))
+    assert "relation of %d states" % len(rel.dfa.states) in str(info.value)
 
 
 # ---------------------------------------------------------------------------

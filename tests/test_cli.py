@@ -122,6 +122,37 @@ def test_header_lists_the_inputs(cli):
     assert last_line(out) == "2"
 
 
+def test_vertex_flags_default_to_the_basepoint(cli):
+    # binary-tree starts at 1 and lambda at 12; neither contains vertex 0
+    out, _ = cli("greedy-path", "--graph", "binary-tree", "--length", "5",
+                 "--ends", "1")
+    assert "#   start = 1" in out
+    assert last_line(out) == "length 5: 1,2,4,8,16,32"
+    out, _ = cli("ball", "--graph", "binary-tree", "--radius", "3")
+    assert "#   center = 1" in out
+    assert "vertices: 15   edges: 14" in out
+    again, _ = cli("ball", "--graph", "binary-tree", "--radius", "3",
+                   "--center", "1")
+    assert again == out
+    out, err = cli("dot-export", "--graph", "lambda", "--radius", "2")
+    assert "#   center = 12" in err
+    assert '"12" [shape=doublecircle' in out
+    # where the basepoint is 0 the default reads as before
+    out, _ = cli("ball", "--graph", "int-line", "--radius", "3")
+    assert "#   center = 0" in out
+    assert out == cli("ball", "--graph", "int-line", "--radius", "3",
+                      "--center", "0")[0]
+
+
+def test_invalid_vertex_is_named(cli):
+    _, err = cli("ball", "--graph", "binary-tree", "--radius", "3",
+                 "--center", "0", code=1)
+    assert err == "error: vertex 0 is not in the graph\n"
+    _, err = cli("greedy-path", "--graph", "lambda", "--length", "3",
+                 "--ends", "1", "--start", "0", code=1)
+    assert "error: vertex 0 is not in the graph" in err
+
+
 # ---------------------------------------------------------------------------
 # one pass over the remaining commands
 # ---------------------------------------------------------------------------
