@@ -196,60 +196,52 @@ class Dfa:
             table[(q, b)] = t
         return Dfa(new_alphabet, self.states, self.start, self.accepting, table)
 
-    def reachable(self) -> "Dfa":
-        seen = {self.start}
-        queue = deque([self.start])
-        syms = sorted(self.alphabet)
-        while queue:
-            q = queue.popleft()
-            for a in syms:
-                t = self.transitions[(q, a)]
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        table = {(q, a): t for (q, a), t in self.transitions.items() if q in seen}
-        return Dfa(self.alphabet, seen, self.start, self.accepting & seen, table)
-
     def minimized(self) -> "Dfa":
-        """Partition refinement, then a breadth-first renumbering so equal
-        languages yield identical tables."""
-        trimmed = self.reachable()
-        syms = sorted(trimmed.alphabet)
-        block = {q: (q in trimmed.accepting) for q in trimmed.states}
+        """Moore's partition refinement over BFS-indexed rows.
+
+        The reachable states are indexed 0..n-1 in breadth-first order from
+        the start, symbols in sorted order, and row i lists the indices of
+        state i's successors.  Each round gives state i the signature
+        (block[i], block[j] for j in row i) and numbers the signatures in
+        index order; the partition is stable once the block count stops
+        growing.  Blocks numbered in index order come out in the
+        breadth-first order of the quotient itself, so equal languages
+        yield identical tables."""
+        syms = sorted(self.alphabet)
+        delta = self.transitions
+        index = {self.start: 0}
+        found = [self.start]
+        rows = []
+        for q in found:                  # grows while it is read: the BFS queue
+            row = []
+            for a in syms:
+                t = delta[(q, a)]
+                j = index.get(t)
+                if j is None:
+                    j = index[t] = len(found)
+                    found.append(t)
+                row.append(j)
+            rows.append(row)
+        accept = [q in self.accepting for q in found]
+        block = accept
+        count = len(set(block))
         while True:
-            signature = {
-                q: (block[q],) + tuple(block[trimmed.transitions[(q, a)]] for a in syms)
-                for q in trimmed.states
-            }
             fresh = {}
-            for q in sorted(trimmed.states, key=lambda s: repr(s)):
-                fresh.setdefault(signature[q], len(fresh))
-            new_block = {q: fresh[signature[q]] for q in trimmed.states}
-            if len(set(new_block.values())) == len(set(block.values())):
-                block = new_block
+            block = [fresh.setdefault((block[i],) + tuple(block[j] for j in row), len(fresh))
+                     for i, row in enumerate(rows)]
+            if len(fresh) == count:
                 break
-            block = new_block
-        # canonical numbering by BFS from the start block
-        order = {block[trimmed.start]: 0}
-        queue = deque([block[trimmed.start]])
-        move = {}
-        for q in trimmed.states:
-            for a in syms:
-                move[(block[q], a)] = block[trimmed.transitions[(q, a)]]
-        while queue:
-            b = queue.popleft()
-            for a in syms:
-                t = move[(b, a)]
-                if t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-        table = {(order[b], a): order[move[(b, a)]]
-                 for b in order for a in syms}
-        accepting = {order[block[q]] for q in trimmed.accepting}
-        return Dfa(trimmed.alphabet, set(order.values()), 0, accepting, table)
+            count = len(fresh)
+        # The first state of a block is first reached from the first state of
+        # an earlier block, on the least symbol into it; so numbering by first
+        # appearance is the quotient's breadth-first numbering from block 0.
+        table = {(block[i], a): block[j]
+                 for i, row in enumerate(rows) for a, j in zip(syms, row)}
+        final = {b for b, acc in zip(block, accept) if acc}
+        return Dfa(self.alphabet, range(count), 0, final, table)
 
     def is_empty(self) -> bool:
-        return not any(q in self.accepting for q in self.reachable().states)
+        return self.shortest_accepted() is None
 
     def shortest_accepted(self) -> Optional[Tuple]:
         syms = sorted(self.alphabet)

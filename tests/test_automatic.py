@@ -113,6 +113,168 @@ def test_make_totalizes_with_a_sink():
     assert not d.accepts(("1", "0", "1"))    # stuck in the sink for good
 
 
+def two_state_table():
+    """A total table over states {"a", "b"} and SIGMA."""
+    return {("a", "0"): "a", ("a", "1"): "b", ("b", "0"): "b", ("b", "1"): "a"}
+
+
+@pytest.mark.parametrize("stand_in", [
+    None,
+    (("ghost", "1"), "a"),          # an entry for a non-state
+    (("b", "2"), "a"),              # an entry for a symbol outside the alphabet
+    ("b1", "a"),                    # a key that unpacks like ("b", "1")
+], ids=["absent", "non-state", "foreign-symbol", "string-key"])
+def test_constructor_rejects_a_partial_table(stand_in):
+    table = two_state_table()
+    del table[("b", "1")]
+    if stand_in is not None:        # keeps the entry count at |states| * |alphabet|
+        table[stand_in[0]] = stand_in[1]
+    with pytest.raises(GraphError, match=r"^transition table not total at 'b'/'1'$"):
+        Dfa(SIGMA, {"a", "b"}, "a", {"a"}, table)
+
+
+def test_constructor_rejects_an_unknown_target():
+    table = two_state_table()
+    table[("b", "1")] = "c"
+    with pytest.raises(GraphError, match=r"^transition target 'c' unknown$"):
+        Dfa(SIGMA, {"a", "b"}, "a", {"a"}, table)
+
+
+def test_constructor_rejects_a_bad_start_or_accepting_set():
+    table = two_state_table()
+    with pytest.raises(GraphError, match=r"^start state missing from state set$"):
+        Dfa(SIGMA, {"a", "b"}, "c", {"a"}, table)
+    with pytest.raises(GraphError, match=r"^accepting states outside state set$"):
+        Dfa(SIGMA, {"a", "b"}, "a", {"a", "c"}, table)
+    # the start is checked before the accepting set, both before the table
+    with pytest.raises(GraphError, match=r"^start state missing"):
+        Dfa(SIGMA, {"a", "b"}, "c", {"c"}, {})
+    with pytest.raises(GraphError, match=r"^accepting states outside"):
+        Dfa(SIGMA, {"a", "b"}, "a", {"c"}, {})
+
+
+def test_constructor_tolerates_entries_for_non_states():
+    table = two_state_table()
+    extra = {("ghost", "0"): "ghost", ("ghost", "1"): "a", ("a", "2"): "nowhere"}
+    d = Dfa(SIGMA, {"a", "b"}, "a", {"a"}, {**table, **extra})
+    assert d.transitions == {**table, **extra}
+    assert d.states == {"a", "b"}
+    assert d.accepts(("1", "1")) and not d.accepts(("1",))
+
+
+def test_constructor_reads_a_none_target_as_missing():
+    table = {("a", "0"): "a", ("a", "1"): None, (None, "0"): "a", (None, "1"): "a"}
+    with pytest.raises(GraphError, match=r"^transition table not total at 'a'/'1'$"):
+        Dfa(SIGMA, {"a", None}, "a", {"a"}, table)
+
+
+# state names of mixed types, so that repr order and BFS order disagree
+STATE_NAMES = (
+    lambda i: i,
+    lambda i: "s%d" % i,
+    lambda i: (i % 3, "t%d" % i),
+    lambda i: frozenset({i, -i - 1}),
+)
+
+
+def mixed_names(rng, n):
+    names = [STATE_NAMES[rng.randrange(4)](i) for i in range(n)]
+    rng.shuffle(names)
+    return names
+
+
+def in_repr_order(states):
+    """A fixed order for drawing from a set: iterating a set of strings
+    follows the per-process string hash."""
+    return sorted(states, key=repr)
+
+
+def random_total_dfa(rng):
+    """1-8 states of mixed name types over 0-3 symbols (0: the nullary
+    alphabet), with a random start, so some states are often unreachable."""
+    n = rng.randint(1, 8)
+    syms = ("a", "b", "c")[:rng.choice((0, 1, 1, 2, 2, 3, 3, 3))]
+    names = mixed_names(rng, n)
+    table = {(q, s): rng.choice(names) for q in names for s in syms}
+    accepting = {q for q in names if rng.random() < 0.5}
+    return Dfa(syms, names, rng.choice(names), accepting, table)
+
+
+def renamed(rng, d):
+    old = in_repr_order(d.states)
+    new = dict(zip(old, mixed_names(rng, len(old))))
+    return Dfa(d.alphabet, new.values(), new[d.start], {new[q] for q in d.accepting},
+               {(new[q], a): new[t] for (q, a), t in d.transitions.items()})
+
+
+def with_unreachable_copies(rng, d):
+    """Copies of every state that no original state leads to, with random
+    acceptance and random targets anywhere."""
+    old = in_repr_order(d.states)
+    copies = [("copy", q) for q in old]
+    table = dict(d.transitions)
+    table.update({(c, a): rng.choice(old + copies) for c in copies for a in sorted(d.alphabet)})
+    accepting = d.accepting | {c for c in copies if rng.random() < 0.5}
+    return Dfa(d.alphabet, old + copies, d.start, accepting, table)
+
+
+def with_split_state(rng, d):
+    """State q duplicated as ("split", q): same acceptance, same moves, and a
+    random share of the moves into q redirected to the duplicate."""
+    q = rng.choice(in_repr_order(d.states))
+    twin = ("split", q)
+    table = dict(d.transitions)
+    table.update({(twin, a): d.transitions[(q, a)] for a in sorted(d.alphabet)})
+    for key, t in list(table.items()):
+        if t == q and rng.random() < 0.5:
+            table[key] = twin
+    start = twin if d.start == q and rng.random() < 0.5 else d.start
+    accepting = d.accepting | ({twin} if q in d.accepting else set())
+    return Dfa(d.alphabet, d.states | {twin}, start, accepting, table)
+
+
+def started_at(d, q):
+    return Dfa(d.alphabet, d.states, q, d.accepting, d.transitions)
+
+
+def table_of(d):
+    return (d.states, d.start, d.accepting, d.transitions)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_minimized_against_brute_languages(seed):
+    rng = random.Random(seed)
+    words = {}
+
+    def up_to(syms, max_len):
+        if (syms, max_len) not in words:
+            words[(syms, max_len)] = [w for n in range(max_len + 1)
+                                      for w in itertools.product(syms, repeat=n)]
+        return words[(syms, max_len)]
+
+    for _ in range(100):
+        d = random_total_dfa(rng)
+        syms = tuple(sorted(d.alphabet))
+        n = len(d.states)
+        m = d.minimized()
+        k = len(m.states)
+        assert m.alphabet == d.alphabet and m.start == 0 and m.states == set(range(k))
+        # the same language on every word of length <= n + 1
+        for w in up_to(syms, n + 1):
+            assert run_dfa(m, w) == run_dfa(d, w), w
+        # empty exactly when no word shorter than n, which reaches every
+        # reachable state, is accepted
+        assert d.is_empty() == (not any(run_dfa(d, w) for w in up_to(syms, n - 1)))
+        # minimal: any two states are told apart by a suffix shorter than k
+        suffixes = up_to(syms, k - 1)
+        behaviours = {tuple(run_dfa(started_at(m, q), w) for w in suffixes) for q in m.states}
+        assert len(behaviours) == k
+        # canonical: the same table through renaming, unreachable copies and splits
+        for variant in (renamed(rng, d), with_unreachable_copies(rng, d),
+                        with_split_state(rng, with_split_state(rng, d))):
+            assert table_of(variant.minimized()) == table_of(m)
+
+
 def test_minimized_is_canonical():
     a = Dfa.make(SIGMA, "s", {"s"}, {("s", "1"): "s"})
     # same language via three redundant states
