@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 VertexId = int
@@ -287,18 +288,7 @@ def ball(g: GraphOracle, center: VertexId, radius: int) -> Ball:
     """Induced ball: vertices within `radius` of center, all edges among them."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if not g.contains(center):
-        raise InvalidVertex(center)
-    dist = {center: 0}
-    frontier = deque([center])
-    while frontier:
-        v = frontier.popleft()
-        if dist[v] == radius:
-            continue
-        for w, _m in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                frontier.append(w)
+    dist = distances_from(g, center, radius)
     verts = frozenset(dist)
     es = set()
     for v in verts:
@@ -309,27 +299,35 @@ def ball(g: GraphOracle, center: VertexId, radius: int) -> Ball:
     return Ball(center, radius, verts, frozenset(es), dist)
 
 
+def severed(removed: EdgeSet, v: VertexId, w: VertexId, m: int) -> bool:
+    """Whether `removed` holds all m parallel copies of the edge v-w."""
+    return all(edge(v, w, s) in removed for s in range(m))
+
+
+def bfs_layers(g: GraphOracle, source: VertexId, removed: EdgeSet = frozenset()):
+    """The vertices at distance 0, 1, 2, ... from `source` in G minus
+    `removed`, one list per layer, each expanded only when asked for."""
+    seen = {source}
+    layer = [source]
+    while layer:
+        yield layer
+        nxt = []
+        for v in layer:
+            for w, m in g.neighbors(v):
+                if w in seen or (removed and severed(removed, v, w, m)):
+                    continue
+                seen.add(w)
+                nxt.append(w)
+        layer = nxt
+
+
 def distances_from(g: GraphOracle, source: VertexId, max_radius: int,
                    avoid_edges: EdgeSet = frozenset()) -> Dict[VertexId, int]:
     """BFS distances within max_radius, optionally not using avoid_edges."""
     if not g.contains(source):
         raise InvalidVertex(source)
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        v = frontier.popleft()
-        if dist[v] == max_radius:
-            continue
-        for w, m in g.neighbors(v):
-            if w in dist:
-                continue
-            if avoid_edges:
-                # usable iff some parallel copy is not removed
-                if sum(1 for s in range(m) if edge(v, w, s) in avoid_edges) == m:
-                    continue
-            dist[w] = dist[v] + 1
-            frontier.append(w)
-    return dist
+    layers = islice(bfs_layers(g, source, avoid_edges), max(max_radius, 0) + 1)
+    return {v: d for d, layer in enumerate(layers) for v in layer}
 
 
 def bounded_distance(g: GraphOracle, a: VertexId, b: VertexId, max_radius: int) -> Optional[int]:

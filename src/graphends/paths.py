@@ -53,9 +53,9 @@ from .graph_core import (
     VertexId,
     check_edge_set,
     distances_from,
-    edge,
     edge_induced_vertices,
     edges_at,
+    severed,
 )
 from .separation import boundary_partition
 
@@ -141,7 +141,7 @@ def _escapes_outward(g: GraphOracle, removed: EdgeSet, start: VertexId,
         for w, m in g.neighbors(v):
             if w in seen:
                 continue
-            if all(edge(v, w, s) in removed for s in range(m)):
+            if severed(removed, v, w, m):
                 continue
             dw = g.base_distance(w)
             if dw is None:
@@ -258,7 +258,7 @@ def _tree_path_avoids(g: GraphOracle, a: VertexId, b: VertexId, e: EdgeSet,
     walk = _tree_walk(g, a, b, fuel)
     for x, y in zip(walk, walk[1:]):
         m = next(mm for w, mm in g.neighbors(x) if w == y)
-        if all(edge(x, y, s) in e for s in range(m)):
+        if severed(e, x, y, m):
             return False
     return True
 

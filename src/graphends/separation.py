@@ -15,12 +15,10 @@ observed raise UnsoundCertificateDetected; detection is best effort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain, combinations, islice
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .graph_core import (
-    Ball,
-    EdgeRef,
     EdgeSet,
     EndsCertificate,
     Fuel,
@@ -32,13 +30,13 @@ from .graph_core import (
     UnsoundCertificateDetected,
     VertexId,
     ball,
+    bfs_layers,
     check_edge_set,
     distances_from,
-    edge,
     edge_induced_vertices,
-    edge_set,
     edges_at,
     finite_components,
+    severed,
 )
 
 
@@ -74,8 +72,9 @@ def reach_edges(g: GraphOracle, removed: EdgeSet, v: VertexId, n: int) -> EdgeSe
     return frozenset(out)
 
 
-def _merge_by_overlap(sets: Dict[VertexId, EdgeSet]) -> List[FrozenSet[VertexId]]:
-    """Group keys whose edge sets overlap (transitively)."""
+def _merge_by_overlap(sets: Dict, probes: Optional[Dict] = None) -> List[FrozenSet]:
+    """Group keys whose sets overlap (transitively).  With `probes`, a key
+    also joins every key whose set holds an element of probes[key]."""
     keys = sorted(sets)
     parent = {k: k for k in keys}
 
@@ -85,14 +84,18 @@ def _merge_by_overlap(sets: Dict[VertexId, EdgeSet]) -> List[FrozenSet[VertexId]
             k = parent[k]
         return k
 
-    # invert: edge -> first key, union on collision
-    owner: Dict[EdgeRef, VertexId] = {}
+    # invert: element -> first key, union on collision
+    owner = {}
     for k in keys:
-        for er in sets[k]:
-            if er in owner:
-                parent[find(owner[er])] = find(k)
+        for x in sets[k]:
+            if x in owner:
+                parent[find(owner[x])] = find(k)
             else:
-                owner[er] = k
+                owner[x] = k
+    for k in (keys if probes else ()):
+        for x in probes[k]:
+            if x in owner:
+                parent[find(owner[x])] = find(k)
     groups: Dict[VertexId, set] = {}
     for k in keys:
         groups.setdefault(find(k), set()).add(k)
@@ -106,17 +109,30 @@ def comp_approx(g: GraphOracle, e: EdgeSet, n: int) -> int:
     and n+1; carriers are grouped by overlapping reach sets.  The stage value
     is always >= the true number of infinite components, and for n past the
     point where every finite component has been exhausted it equals it.
+
+    One BFS to depth n in G minus e per boundary vertex decides both.  The
+    reach grows exactly when a surviving edge leaves layer n outward or
+    sideways (a loop included).  Two reach sets share an edge exactly when
+    their vertices lie within 2n-1 of each other in G minus e, so carriers
+    join when their radius-(n-1) balls overlap (distance <= 2n-2) or when
+    one's layer n meets another's ball (2n-1, the middle of a shortest
+    path).  At n = 0 each boundary vertex is a carrier and a group.  A
+    negative stage is 0: every reach set is empty there.
     """
     e = check_edge_set(g, e)
-    if not e:
+    if not e or n < 0:
         return 0
-    carriers: Dict[VertexId, EdgeSet] = {}
+    balls, rims = {}, {}
     for v in boundary_vertices(g, e):
-        now = reach_edges(g, e, v, n)
-        nxt = reach_edges(g, e, v, n + 1)
-        if now != nxt:
-            carriers[v] = now
-    return len(_merge_by_overlap(carriers))
+        layers = list(islice(bfs_layers(g, v, e), n + 1))
+        if len(layers) <= n:
+            continue  # v's component ends before layer n: its reach is complete
+        closer = set(chain.from_iterable(layers[:n]))
+        rim = layers[n]
+        if any(w not in closer and not severed(e, x, w, m)
+               for x in rim for w, m in g.neighbors(x)):
+            balls[v], rims[v] = closer, rim
+    return len(_merge_by_overlap(balls, rims))
 
 
 def semidecide_not_separating(g: GraphOracle, e: EdgeSet, fuel: Fuel = Fuel()) -> TriBool:
@@ -168,18 +184,19 @@ def _stable_partition(g: GraphOracle, wp: EdgeSet, k: int, fuel: Fuel):
 
 
 def _cover_radius(g: GraphOracle, es: EdgeSet, fuel: Fuel) -> Optional[int]:
+    """Least r >= 1 putting every endpoint of es within r of the basepoint,
+    or None when one lies farther than fuel.max_radius."""
     if not es:
         return 1
-    dist = distances_from(g, g.basepoint, fuel.max_radius)
-    worst = 0
-    for v in edge_induced_vertices(es):
-        if v not in dist:
-            return None
-        worst = max(worst, dist[v])
-    return max(worst, 1)
+    missing = set(edge_induced_vertices(es))
+    for d, layer in enumerate(islice(bfs_layers(g, g.basepoint), fuel.max_radius + 1)):
+        missing.difference_update(layer)
+        if not missing:
+            return max(d, 1)
+    return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryPartition:
     """Endpoints of a removed edge set, split by what survives around them.
 
@@ -190,6 +207,9 @@ class BoundaryPartition:
 
     infinite_groups: Tuple[FrozenSet[VertexId], ...]
     finite_group: FrozenSet[VertexId]
+
+
+_NO_VERTICES: FrozenSet[VertexId] = frozenset()  # every empty finite group
 
 
 class _Window:
@@ -365,7 +385,7 @@ def boundary_partition(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
         raise UnsoundCertificateDetected(
             "an empty witness cannot leave %d infinite components" % cert.ends)
     if not e:
-        return BoundaryPartition((), frozenset())
+        return BoundaryPartition((), _NO_VERTICES)
     win = _build_window(g, e, cert, fuel)
     if win is None:
         return Unknown(fuel.max_radius)
@@ -390,7 +410,7 @@ def boundary_partition(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
         else:
             infinite.setdefault(ci, set()).add(b)
     groups = sorted((frozenset(v) for v in infinite.values()), key=min)
-    return BoundaryPartition(tuple(groups), frozenset(finite))
+    return BoundaryPartition(tuple(groups), frozenset(finite) if finite else _NO_VERTICES)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +450,7 @@ def minimal_separating_subsets(g: GraphOracle, shell: EdgeSet,
         raise NotAShell("not the full edge layer at radius %d" % r)
     if len(shell) > _SUBSET_CAP:
         raise GraphError("shell too large to enumerate (%d edges)" % len(shell))
-    ordered = sorted(shell)
-    found: List[EdgeSet] = []
-    for size in range(1, len(ordered) + 1):
-        for combo in combinations(ordered, size):
-            s = frozenset(combo)
-            if any(m <= s for m in found):
-                continue
-            if sep_decider(s):
-                found.append(s)
+    found = _minimal_subsets(shell, sep_decider)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -498,7 +510,7 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
             new = set()
             for v in frontier[rt]:
                 for w, m in g.neighbors(v):
-                    if all(edge(v, w, s) in e for s in range(m)):
+                    if severed(e, v, w, m):
                         continue  # every parallel copy removed
                     if w in owner:
                         if owner[w] != rt:

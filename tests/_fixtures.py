@@ -61,3 +61,29 @@ class TwoEndLineWithChord(GraphOracle):
         elif v == 3:
             out.append((-3, 1))
         return out
+
+
+class LoopyLine(GraphOracle):
+    """Half line 0-1-2-... with its edge (1, 2) doubled, plus a pendant path
+    0 - (-1) - (-2) ending in a loop at -2.
+
+    Removing one copy of (1, 2) leaves its endpoints joined by the other;
+    cutting the pendant path off leaves a finite piece whose reach grows
+    one last time through the loop.
+    """
+
+    def contains(self, v):
+        return v >= -2
+
+    def _neighbors(self, v):
+        if v == -2:
+            return [(-2, 1), (-1, 1)]
+        if v == -1:
+            return [(-2, 1), (0, 1)]
+        if v == 0:
+            return [(-1, 1), (1, 1)]
+        if v == 1:
+            return [(0, 1), (2, 2)]
+        if v == 2:
+            return [(1, 2), (3, 1)]
+        return [(v - 1, 1), (v + 1, 1)]

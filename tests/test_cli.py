@@ -168,6 +168,12 @@ def test_comp_approx_prints_the_stage_value(cli):
     assert last_line(out) == "2"
 
 
+def test_comp_approx_prints_zero_at_a_negative_stage(cli):
+    out, _ = cli("comp-approx", "--graph", "int-line", "--edges", "(0,1)",
+                 "--n", "-1")
+    assert last_line(out) == "0"
+
+
 def test_boundary_groups_endpoints(cli):
     out, _ = cli("boundary", "--graph", "int-line",
                  "--edges", "(-1,0);(2,3)", "--ends", "2",

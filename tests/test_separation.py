@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -7,14 +8,15 @@ from graphends import (
     NotAShell, UnsoundCertificateDetected,
     NatLine, IntLine, CycleChain, CycleChainWithRays, LinesWithSticks,
     Delta2TwoEnded, CeEnumeration, Halting, LimitApprox,
+    BinaryTree, ProductGraph, GADGET_KINDS, build_gadget, parse_graph_spec,
 )
 from graphends.separation import (
-    comp_approx, decide_comp, boundary_partition, semidecide_not_separating,
+    _cover_radius, comp_approx, decide_comp, boundary_partition, semidecide_not_separating,
     minimal_separating_subsets, ends_from_sepmax, sepmax_witness_from_ends,
     shell_edges, BoundaryPartition,
 )
 from _brute import brute_components, label_sign, label_one_end, make_rays_label
-from _fixtures import PendantLine, LollipopLine
+from _fixtures import PendantLine, LollipopLine, LoopyLine
 
 
 def as_triples(es):
@@ -43,6 +45,14 @@ def test_comp_approx_empty_set():
     assert comp_approx(CycleChain(CeEnumeration((2,))), frozenset(), 0) == 0
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+def test_comp_approx_negative_stage_is_zero(n):
+    # every reach set is empty before stage 1, so nothing grows and no
+    # vertex carries
+    assert comp_approx(IntLine(), {edge(0, 1)}, n) == 0
+    assert comp_approx(LoopyLine(), {edge(1, 2, 1)}, n) == 0
+
+
 def test_comp_approx_sticks_reconnect():
     # halting at 3 creates the chord (-4, 4); removing (0,1) leaves the
     # segment 0..-3 finite and everything else hangs together through the
@@ -59,6 +69,143 @@ def test_comp_approx_min_is_the_component_count():
     values = [comp_approx(g, e, n) for n in range(25)]
     truth, _ = brute_components(g, as_triples(edge_set(e)), 30, label_sign, quiet=8)
     assert min(values) == truth
+
+
+# ---------------------------------------------------------------------------
+# comp_approx and _cover_radius against a test-local reference
+# ---------------------------------------------------------------------------
+
+def _surviving_edges(g, removed, v):
+    return {(min(v, w), max(v, w), s) for w, m in g.neighbors(v) for s in range(m)} - removed
+
+
+def _bfs(g, source, radius, removed=frozenset()):
+    """Distances within `radius` of source, moving only along surviving edges."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        if dist[x] == radius:
+            continue
+        for w, m in g.neighbors(x):
+            if w not in dist and any((min(x, w), max(x, w), s) not in removed
+                                     for s in range(m)):
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    return dist
+
+
+def _ref_reach(g, removed, v, n):
+    """The stage definition's reach: surviving edges with an endpoint within
+    n-1 of v in G minus removed."""
+    if n == 0:
+        return frozenset()
+    return frozenset().union(*(_surviving_edges(g, removed, x)
+                               for x in _bfs(g, v, n - 1, removed)))
+
+
+def ref_comp_approx(g, removed, n):
+    """Carriers are boundary vertices whose reach grows from n to n+1,
+    merged while two groups' reach sets share an edge."""
+    if not removed:
+        return 0
+    ends = sorted({x for u, v, _s in removed for x in (u, v)})
+    groups = []
+    for v in ends:
+        if not _surviving_edges(g, removed, v):
+            continue
+        now = _ref_reach(g, removed, v, n)
+        if now != _ref_reach(g, removed, v, n + 1):
+            groups.append(set(now))
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i] & groups[j]:
+                    groups[i] |= groups.pop(j)
+                    merged = True
+                    break
+            if merged:
+                break
+    return len(groups)
+
+
+FULL_RANGE = tuple(range(32)) + (64,)
+
+# one member of every stock family; the trees grow like 2^n, so their full
+# members run the first stages only, and pruned members of the same classes
+# (a polynomial subtree, and the quadrant that is the product of two rays)
+# run every stage
+STOCK = {
+    "nat-line": (lambda: parse_graph_spec("nat-line"), FULL_RANGE),
+    "int-line": (lambda: parse_graph_spec("int-line"), FULL_RANGE),
+    "cycle-chain": (lambda: parse_graph_spec("cycle-chain:events@2,5"), FULL_RANGE),
+    "cycle-chain-all": (lambda: parse_graph_spec("cycle-chain:events-all"), FULL_RANGE),
+    "rays<k>": (lambda: parse_graph_spec("rays3:events@1,3"), FULL_RANGE),
+    "one-way-multi": (lambda: parse_graph_spec("one-way-multi:events@2,5"), FULL_RANGE),
+    "doubled-chain": (lambda: parse_graph_spec("doubled-chain:events@1,3"), FULL_RANGE),
+    "sigma21-line": (lambda: parse_graph_spec("sigma21-line:changes@2,5"), FULL_RANGE),
+    "pi1-line": (lambda: parse_graph_spec("pi1-line:halt@3"), FULL_RANGE),
+    "delta2": (lambda: parse_graph_spec("delta2:changes@2,5"), FULL_RANGE),
+    "lines-with-sticks": (lambda: parse_graph_spec("lines-with-sticks:halt@3"), FULL_RANGE),
+    "comb": (lambda: parse_graph_spec("comb:3,never,2"), FULL_RANGE),
+    "binary-tree": (lambda: parse_graph_spec("binary-tree"), range(8)),
+    "binary-tree-pruned": (lambda: build_gadget(
+        "binary-tree", predicate=lambda v: bin(v).count("1") <= 2), FULL_RANGE),
+    "lambda": (lambda: parse_graph_spec("lambda"), range(7)),
+    "lambda-quadrant": (lambda: ProductGraph(
+        *(BinaryTree(lambda v: v & (v - 1) == 0) for _ in range(2))), FULL_RANGE),
+    "loopy-line": (LoopyLine, FULL_RANGE),
+}
+
+
+def test_stock_covers_every_gadget_kind():
+    assert set(GADGET_KINDS) <= set(STOCK)
+
+
+def _removals(name, g):
+    """Seeded removals of 1-3 edges among the radius-3 ball's edges."""
+    near = _bfs(g, g.basepoint, 3)
+    pool = sorted({e for v in near for e in _surviving_edges(g, frozenset(), v)
+                   if e[0] in near and e[1] in near})
+    rng = random.Random(name)
+    return [frozenset(rng.sample(pool, min(k, len(pool)))) for k in (1, 1, 2, 2, 3, 3)]
+
+
+@pytest.mark.parametrize("name", sorted(STOCK))
+def test_comp_approx_against_reference(name):
+    make, stages = STOCK[name]
+    g = make()
+    removals = _removals(name, g)
+    if name == "loopy-line":
+        # one parallel copy; the pendant cut off so the loop is its last growth
+        removals += [frozenset({(1, 2, 0)}), frozenset({(-1, 0, 0)}),
+                     frozenset({(-2, -2, 0), (1, 2, 1)}), frozenset({(-2, -1, 0), (0, 1, 0)})]
+    for removed in removals:
+        for n in stages:
+            want = ref_comp_approx(g, removed, n)
+            assert comp_approx(g, edge_set(removed), n) == want, (sorted(removed), n)
+
+
+@pytest.mark.parametrize("name", sorted(k for k, (_m, st) in STOCK.items() if st is FULL_RANGE))
+def test_cover_radius_against_full_bfs(name):
+    g = STOCK[name][0]()
+    dist = _bfs(g, g.basepoint, 12)
+    assert _cover_radius(g, frozenset(), Fuel(max_radius=1)) == 1
+    for d in range(8):
+        es = edge_set(e for v, dv in dist.items() if dv == d
+                      for e in _surviving_edges(g, frozenset(), v))
+        far = max(dist[x] for e in es for x in e[:2])
+        for radius in (1, 2, 3, 5, 8, 64):
+            want = max(far, 1) if far <= radius else None
+            assert _cover_radius(g, es, Fuel(max_radius=radius)) == want, (d, radius)
+
+
+def test_cover_radius_of_a_loop_at_the_basepoint_is_one():
+    g = LoopyLine()
+    g.basepoint = -2
+    assert _cover_radius(g, edge_set([(-2, -2, 0)]), Fuel(max_radius=1)) == 1
 
 
 # ---------------------------------------------------------------------------
