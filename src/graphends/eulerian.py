@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph_core import (
+    DisjointSets,
     EdgeRef,
     EdgeSet,
     EndsCertificate,
@@ -172,30 +173,15 @@ def cycle_space_basis(edges: Sequence[EdgeRef]) -> List[int]:
     closes a two-edge cycle with its sibling.
     """
     index = {e: i for i, e in enumerate(edges)}
-    forest_adj: Dict[VertexId, List[Tuple[VertexId, int]]] = {}
-    parent: Dict[VertexId, VertexId] = {}
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
+    forest = DisjointSets(v for e in edges for v in (e.u, e.v))
+    forest_adj: Dict[VertexId, List[Tuple[VertexId, int]]] = {v: [] for v in forest.parent}
     basis: List[int] = []
     for e in edges:
         i = index[e]
-        for v in (e.u, e.v):
-            if v not in parent:
-                parent[v] = v
-                forest_adj[v] = []
         if e.u == e.v:
             basis.append(1 << i)
             continue
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
+        if forest.union(e.u, e.v):
             forest_adj[e.u].append((e.v, i))
             forest_adj[e.v].append((e.u, i))
             continue
@@ -237,27 +223,18 @@ def _cycle_blocks(edges: Sequence[EdgeRef]):
     """
     edges = sorted(edges)
     basis = cycle_space_basis(edges)
-    parent = list(range(len(edges)))
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
+    blocks = DisjointSets(range(len(edges)))
     for mask in basis:
         bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
         for j in bits[1:]:
-            parent[find(j)] = find(bits[0])
+            blocks.union(j, bits[0])
     dims: Dict[int, int] = {}
     for mask in basis:
-        r = find((mask & -mask).bit_length() - 1)
+        r = blocks.find((mask & -mask).bit_length() - 1)
         dims[r] = dims.get(r, 0) + 1
     groups: Dict[int, List[EdgeRef]] = {}
     for i, e in enumerate(edges):
-        r = find(i)
+        r = blocks.find(i)
         if r in dims:
             groups.setdefault(r, []).append(e)
     return [(groups[r], dims[r])

@@ -51,9 +51,6 @@ class Halting(Schedule):
         if self.halt_step is not None and self.halt_step < 0:
             raise ValueError("halt_step must be >= 0 or None")
 
-    def halted_by(self, s: int) -> bool:
-        return self.halt_step is not None and s >= self.halt_step
-
     def halts_exactly_at(self, s: int) -> bool:
         return self.halt_step == s
 
@@ -86,10 +83,6 @@ class CeEnumeration(Schedule):
             return True
         return s in self.event_stages
 
-    @property
-    def finitely_many(self) -> bool:
-        return not self.every_stage
-
     def last_event(self) -> Optional[int]:
         if self.every_stage:
             return None
@@ -115,9 +108,6 @@ class LimitApprox(Schedule):
         if s < 1:
             return 0
         return sum(1 for c in self.change_stages if c <= s) % 2
-
-    def changed_at(self, s: int) -> bool:
-        return s in self.change_stages
 
     @property
     def limit(self) -> int:
@@ -306,8 +296,6 @@ class OneWayMulti(GraphOracle):
     events keep firing (one end).
     """
 
-    is_multigraph = True
-
     def __init__(self, schedule: CeEnumeration):
         super().__init__()
         self.schedule = _want(schedule, CeEnumeration, "OneWayMulti")
@@ -329,8 +317,6 @@ class OneWayMulti(GraphOracle):
 class Doubled(GraphOracle):
     """Every edge of the wrapped graph, twice.  Degrees double, so every
     vertex becomes even; ends are untouched."""
-
-    is_multigraph = True
 
     def __init__(self, inner: GraphOracle):
         super().__init__()
@@ -358,8 +344,6 @@ class Sigma21Line(GraphOracle):
     vertices sit exactly at the change stages; the limit says whether the
     last odd vertex is ever matched.  Always one end."""
 
-    is_multigraph = True
-
     def __init__(self, schedule: LimitApprox):
         super().__init__()
         self.schedule = _want(schedule, LimitApprox, "Sigma21Line")
@@ -381,8 +365,6 @@ class Pi1Line(GraphOracle):
     """Half line with doubled edges except a single edge where the schedule
     halts.  Never halts: all degrees even.  Halts at s: vertices s and s+1
     are the two odd vertices.  Always one end."""
-
-    is_multigraph = True
 
     def __init__(self, schedule: Halting):
         super().__init__()
@@ -412,8 +394,6 @@ class Delta2TwoEnded(GraphOracle):
     an edge set separating the two ends can have all-even incident degrees
     depends on the parity of the number of changes.
     """
-
-    is_multigraph = True
 
     def __init__(self, schedule: LimitApprox):
         super().__init__()
@@ -601,7 +581,6 @@ class ProductGraph(GraphOracle):
         self.left = left
         self.right = right
         self.basepoint = self.pack(left.basepoint, right.basepoint)
-        self.is_multigraph = left.is_multigraph or right.is_multigraph
         self.outward_growing = left.outward_growing and right.outward_growing
 
     @staticmethod
@@ -670,44 +649,11 @@ def lambda_distance(g: ProductGraph, x: VertexId, y: VertexId, fuel: Fuel = Fuel
     if d1 is None or d2 is None:
         return Unknown(fuel.max_radius)
     total = d1 + d2
-    direct = _capped_product_distance(g, x, y, total, fuel.max_steps)
+    direct = bounded_distance(g, x, y, total, fuel.max_steps)
     if direct is not None and direct != total:
         raise GraphError(
             "product distance mismatch: coordinates say %d, BFS says %d" % (total, direct))
     return total
-
-
-def _capped_product_distance(g, x, y, limit, max_steps):
-    """Bidirectional BFS, giving up (None) beyond max_steps visits."""
-    if x == y:
-        return 0
-    da, db = {x: 0}, {y: 0}
-    qa, qb = [x], [y]
-    steps = 0
-    while qa and qb:
-        if len(da) + len(db) > max_steps:
-            return None
-        da_side = len(qa) <= len(qb)
-        dist, q, other = (da, qa, db) if da_side else (db, qb, da)
-        depth = dist[q[0]]
-        if depth + 1 > limit:
-            return None
-        nxt = []
-        for v in q:
-            for w, _m in g.neighbors(v):
-                steps += 1
-                if steps > max_steps:
-                    return None
-                if w in other:
-                    return dist[v] + 1 + other[w]
-                if w not in dist:
-                    dist[w] = depth + 1
-                    nxt.append(w)
-        if da_side:
-            qa = nxt
-        else:
-            qb = nxt
-    return None
 
 
 # ---------------------------------------------------------------------------

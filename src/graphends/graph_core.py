@@ -204,7 +204,6 @@ class GraphOracle:
     """
 
     basepoint: VertexId = 0
-    is_multigraph: bool = False
     outward_growing: bool = False
 
     def __init__(self):
@@ -330,7 +329,15 @@ def distances_from(g: GraphOracle, source: VertexId, max_radius: int,
     return {v: d for d, layer in enumerate(layers) for v in layer}
 
 
-def bounded_distance(g: GraphOracle, a: VertexId, b: VertexId, max_radius: int) -> Optional[int]:
+def bounded_distance(g: GraphOracle, a: VertexId, b: VertexId, max_radius: int,
+                     max_steps: Optional[int] = None) -> Optional[int]:
+    """Distance from a to b by a two-sided BFS, or None when out of reach.
+
+    The radius bounds each side of the search, not the distance: the sides
+    meet in the middle, so the answer can reach 2 * max_radius.  Every
+    neighbour scanned is one step; past max_steps steps the search gives
+    up with None.
+    """
     if a == b:
         return 0
     # two-sided BFS keeps window sizes sane on fast-growing graphs
@@ -338,6 +345,7 @@ def bounded_distance(g: GraphOracle, a: VertexId, b: VertexId, max_radius: int) 
     db = {b: 0}
     qa, qb = deque([a]), deque([b])
     best = None
+    steps = 0
     for _round in range(2 * max_radius):
         side_d, side_q, other_d = (da, qa, db) if len(da) <= len(db) else (db, qb, da)
         if not side_q:
@@ -348,6 +356,9 @@ def bounded_distance(g: GraphOracle, a: VertexId, b: VertexId, max_radius: int) 
         while side_q and side_d[side_q[0]] == depth:
             v = side_q.popleft()
             for w, _m in g.neighbors(v):
+                steps += 1
+                if max_steps is not None and steps > max_steps:
+                    return None
                 if w in other_d:
                     cand = side_d[v] + 1 + other_d[w]
                     if best is None or cand < best:
@@ -410,6 +421,39 @@ def edge_induced_vertices(edges: Iterable[EdgeRef]) -> FrozenSet[VertexId]:
         vs.add(e.u)
         vs.add(e.v)
     return frozenset(vs)
+
+
+class DisjointSets:
+    """Union-find over ints with path compression (Tarjan, "Efficiency of a
+    good but not linear set union algorithm", 1975).  `union` keeps the
+    smaller root, so each class is named by its least member."""
+
+    def __init__(self, items: Iterable[int] = ()):
+        self.parent = {x: x for x in items}
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the classes of a and b; False when they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def classes(self) -> Dict[int, List[int]]:
+        """Root -> members, each list in insertion order."""
+        out: Dict[int, List[int]] = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from itertools import chain, combinations, islice
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .graph_core import (
+    DisjointSets,
     EdgeSet,
     EndsCertificate,
     Fuel,
@@ -59,7 +60,8 @@ def reach_edges(g: GraphOracle, removed: EdgeSet, v: VertexId, n: int) -> EdgeSe
     An edge qualifies when one endpoint is at distance <= n-1 from v in the
     punctured graph; n = 0 gives the empty set.  As n grows this exhausts the
     component of v, and it stops growing exactly when that component is
-    finite.
+    finite.  The deciders read reach off `bfs_layers` instead; this is the
+    definition they agree with.
     """
     if n <= 0:
         return frozenset()
@@ -72,34 +74,27 @@ def reach_edges(g: GraphOracle, removed: EdgeSet, v: VertexId, n: int) -> EdgeSe
     return frozenset(out)
 
 
-def _merge_by_overlap(sets: Dict, probes: Optional[Dict] = None) -> List[FrozenSet]:
-    """Group keys whose sets overlap (transitively).  With `probes`, a key
-    also joins every key whose set holds an element of probes[key]."""
-    keys = sorted(sets)
-    parent = {k: k for k in keys}
+def _grows(g: GraphOracle, removed: EdgeSet, closer, rim) -> bool:
+    """Whether a surviving edge leaves BFS layer `rim` outward or sideways
+    (a loop included), `closer` holding every earlier layer: exactly when
+    the reach one stage past `rim` is larger."""
+    return any(w not in closer and not severed(removed, x, w, m)
+               for x in rim for w, m in g.neighbors(x))
 
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
 
-    # invert: element -> first key, union on collision
-    owner = {}
+def _merge_by_overlap(balls: Dict, rims: Dict) -> List[FrozenSet]:
+    """Group keys whose balls overlap, or where one key's rim meets another
+    key's ball (transitively).  Groups come sorted by least key."""
+    keys = sorted(balls)
+    sets = DisjointSets(keys)
+    owner = {}  # element -> first key whose ball holds it
     for k in keys:
-        for x in sets[k]:
-            if x in owner:
-                parent[find(owner[x])] = find(k)
-            else:
-                owner[x] = k
-    for k in (keys if probes else ()):
-        for x in probes[k]:
-            if x in owner:
-                parent[find(owner[x])] = find(k)
-    groups: Dict[VertexId, set] = {}
+        for first in {owner.setdefault(x, k) for x in balls[k]}:
+            sets.union(first, k)
     for k in keys:
-        groups.setdefault(find(k), set()).add(k)
-    return sorted((frozenset(v) for v in groups.values()), key=min)
+        for first in {owner[x] for x in rims[k] if x in owner}:
+            sets.union(first, k)
+    return sorted((frozenset(c) for c in sets.classes().values()), key=min)
 
 
 def comp_approx(g: GraphOracle, e: EdgeSet, n: int) -> int:
@@ -128,10 +123,8 @@ def comp_approx(g: GraphOracle, e: EdgeSet, n: int) -> int:
         if len(layers) <= n:
             continue  # v's component ends before layer n: its reach is complete
         closer = set(chain.from_iterable(layers[:n]))
-        rim = layers[n]
-        if any(w not in closer and not severed(e, x, w, m)
-               for x in rim for w, m in g.neighbors(x)):
-            balls[v], rims[v] = closer, rim
+        if _grows(g, e, closer, layers[n]):
+            balls[v], rims[v] = closer, layers[n]
     return len(_merge_by_overlap(balls, rims))
 
 
@@ -163,23 +156,37 @@ def _stable_partition(g: GraphOracle, wp: EdgeSet, k: int, fuel: Fuel):
     the infinite components' boundary vertices.  Seeing fewer than k groups
     is impossible under a sound certificate.
 
+    This is the stage machine of comp_approx at stage n+1 for n = 1, 2, ...,
+    run on one BFS per boundary vertex that gains a layer per step: a vertex
+    is active when its layer n grows (reach n+1 != reach n), and active
+    vertices join when their radius-n balls overlap or one's layer n+1 meets
+    another's ball (their reach sets at n+1 share an edge).
+
     Returns (groups, finite_reach) or None when fuel runs out; finite_reach
     maps each finite-side boundary vertex to its component's full edge set.
     """
     bnd = boundary_vertices(g, wp)
-    reach_now = {v: reach_edges(g, wp, v, 1) for v in bnd}
-    for n in range(1, fuel.max_radius + 1):
-        reach_next = {v: reach_edges(g, wp, v, n + 1) for v in bnd}
-        active = {v: reach_next[v] for v in bnd if reach_now[v] != reach_next[v]}
-        groups = _merge_by_overlap(active)
+    searches = {v: bfs_layers(g, v, wp) for v in bnd}
+    balls = {v: set(next(searches[v])) for v in bnd}   # layers 0..n-1
+    rims = {v: next(searches[v], []) for v in bnd}     # layer n
+    for _n in range(1, fuel.max_radius + 1):
+        active_balls, active_rims = {}, {}
+        for v in bnd:
+            nxt = next(searches[v], [])
+            if _grows(g, wp, balls[v], rims[v]):
+                active_balls[v], active_rims[v] = balls[v], nxt
+            balls[v].update(rims[v])
+            rims[v] = nxt
+        groups = _merge_by_overlap(active_balls, active_rims)
         if len(groups) < k:
             raise UnsoundCertificateDetected(
                 "certificate claims %d infinite components but only %d groups remain"
                 % (k, len(groups)))
         if len(groups) == k:
-            finite = {v: reach_now[v] for v in bnd if v not in active}
+            finite = {v: frozenset(er for x in balls[v] for er in edges_at(g, x)
+                                   if er not in wp)
+                      for v in bnd if v not in active_balls}
             return groups, finite
-        reach_now = reach_next
     return None
 
 
@@ -275,6 +282,14 @@ def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
     return None
 
 
+def _check_certificate(g: GraphOracle, cert: EndsCertificate) -> None:
+    """Validate the witness; an empty one cannot leave two or more
+    infinite components."""
+    if not check_edge_set(g, cert.witness) and cert.ends >= 2:
+        raise UnsoundCertificateDetected(
+            "an empty witness cannot leave %d infinite components" % cert.ends)
+
+
 def decide_comp(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
                 fuel: Fuel = Fuel()):
     """Exact number of infinite components of G minus e, certified by an
@@ -285,10 +300,7 @@ def decide_comp(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
     reduces to connectivity of the finite graph U minus e.
     """
     e = check_edge_set(g, e)
-    w = check_edge_set(g, cert.witness)
-    if cert.ends >= 2 and not w:
-        raise UnsoundCertificateDetected(
-            "an empty witness cannot leave %d infinite components" % cert.ends)
+    _check_certificate(g, cert)
     if not e:
         return 1
     if cert.ends == 1:
@@ -311,10 +323,7 @@ def comp_counter(g: GraphOracle, region, cert: EndsCertificate,
     soundness -- each count equals what decide_comp would say.
     """
     region = check_edge_set(g, region)
-    w = check_edge_set(g, cert.witness)
-    if cert.ends >= 2 and not w:
-        raise UnsoundCertificateDetected(
-            "an empty witness cannot leave %d infinite components" % cert.ends)
+    _check_certificate(g, cert)
     if cert.ends == 1:
         return lambda e: 1
     if not region:
@@ -346,28 +355,18 @@ def _window_classes(g, win, e):
     for gi, grp in enumerate(win.groups):
         for v in grp:
             idx_of[v] = gi
-    parent = list(range(len(win.groups)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    sets = DisjointSets(range(len(win.groups)))
     comp_groups = []
     for c in h_comps:
         gids = sorted({idx_of[v] for v in c if v in idx_of})
         comp_groups.append(gids)
         for a, b in zip(gids, gids[1:]):
-            parent[find(a)] = find(b)
-    classes: Dict[int, List[int]] = {}
-    for i in range(len(win.groups)):
-        classes.setdefault(find(i), []).append(i)
+            sets.union(a, b)
+    classes = sets.classes()
     out = []
     for root in sorted(classes, key=lambda r: min(min(win.groups[i]) for i in classes[r])):
-        gids = classes[root]
-        members = [c for c, cg in zip(h_comps, comp_groups) if cg and find(cg[0]) == root]
-        out.append((gids, members))
+        members = [c for c, cg in zip(h_comps, comp_groups) if cg and sets.find(cg[0]) == root]
+        out.append((classes[root], members))
     return out
 
 
@@ -380,10 +379,7 @@ def boundary_partition(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
     Unknown.
     """
     e = check_edge_set(g, e)
-    w = check_edge_set(g, cert.witness)
-    if cert.ends >= 2 and not w:
-        raise UnsoundCertificateDetected(
-            "an empty witness cannot leave %d infinite components" % cert.ends)
+    _check_certificate(g, cert)
     if not e:
         return BoundaryPartition((), _NO_VERTICES)
     win = _build_window(g, e, cert, fuel)
@@ -489,14 +485,7 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
     if not reps:
         return Unknown(fuel.max_radius)
 
-    parent = {u: u for u in reps}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
+    sets = DisjointSets(reps)
     known = {u: {u} for u in reps}      # vertices known to sit in u's component
     frontier = {u: {u} for u in reps}
     for _depth in range(1, fuel.max_radius + 1):
@@ -521,12 +510,10 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
                     new.add(w)
             frontier[rt] = new
         for a, b in merges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+            sets.union(a, b)
         new_known, new_frontier = {}, {}
         for rt in roots:
-            nr = find(rt)
+            nr = sets.find(rt)
             new_known.setdefault(nr, set()).update(known[rt])
             new_frontier.setdefault(nr, set()).update(frontier[rt])
         known, frontier = new_known, new_frontier

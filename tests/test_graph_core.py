@@ -8,6 +8,7 @@ from graphends import (
     ball, degree, edges_at, multiplicity, check_edge,
     finite_components, edge_induced_vertices, bounded_distance, to_dot,
 )
+from graphends.graph_core import DisjointSets
 
 
 def test_edge_canonical():
@@ -83,6 +84,22 @@ def test_bounded_distance():
     assert bounded_distance(g, -4, 3, 10) == 7
     assert bounded_distance(g, 0, 0, 5) == 0
     assert bounded_distance(g, 0, 30, 10) is None
+    # the radius bounds each side, so the sides meet up to 2 * radius apart
+    assert bounded_distance(g, 0, 20, 10) == 20
+    assert bounded_distance(g, 0, 21, 10) is None
+    # every neighbour scanned is a step; 0 -> 4 expands 0, 4, then -1, 1,
+    # then 3, 5: the sides meet at 2 on scan 9, and that layer ends on 12
+    assert bounded_distance(g, 0, 4, 10, max_steps=12) == 4
+    assert bounded_distance(g, 0, 4, 10, max_steps=11) is None
+
+
+def test_disjoint_sets_keep_the_smaller_root():
+    sets = DisjointSets([5, 3, 9, 1, 7])
+    assert sets.union(9, 5) and sets.union(7, 9)
+    assert not sets.union(5, 7)
+    assert sets.find(7) == 5
+    assert sets.union(7, 3) and sets.find(9) == 3
+    assert sets.classes() == {3: [5, 3, 9, 7], 1: [1]}
 
 
 def test_dot_export():

@@ -4,19 +4,20 @@ from collections import deque
 import pytest
 
 from graphends import (
-    edge, edge_set, Fuel, Unknown, TriBool, EndsCertificate,
+    ball, edge, edge_set, edge_induced_vertices, Fuel, Unknown, TriBool, EndsCertificate,
     NotAShell, UnsoundCertificateDetected,
     NatLine, IntLine, CycleChain, CycleChainWithRays, LinesWithSticks,
     Delta2TwoEnded, CeEnumeration, Halting, LimitApprox,
     BinaryTree, ProductGraph, GADGET_KINDS, build_gadget, parse_graph_spec,
 )
 from graphends.separation import (
-    _cover_radius, comp_approx, decide_comp, boundary_partition, semidecide_not_separating,
+    _cover_radius, _stable_partition, comp_approx, comp_counter, decide_comp, boundary_partition,
+    semidecide_not_separating,
     minimal_separating_subsets, ends_from_sepmax, sepmax_witness_from_ends,
     shell_edges, BoundaryPartition,
 )
 from _brute import brute_components, label_sign, label_one_end, make_rays_label
-from _fixtures import PendantLine, LollipopLine, LoopyLine
+from _fixtures import CorePlusRays, PendantLine, LollipopLine, LoopyLine
 
 
 def as_triples(es):
@@ -160,6 +161,10 @@ STOCK = {
 }
 
 
+# seeded random cores with k rays (tests/_fixtures.py)
+CORES = [(seed, k) for k in (1, 2, 3) for seed in (1, 2, 3)]
+
+
 def test_stock_covers_every_gadget_kind():
     assert set(GADGET_KINDS) <= set(STOCK)
 
@@ -206,6 +211,84 @@ def test_cover_radius_of_a_loop_at_the_basepoint_is_one():
     g = LoopyLine()
     g.basepoint = -2
     assert _cover_radius(g, edge_set([(-2, -2, 0)]), Fuel(max_radius=1)) == 1
+
+
+# ---------------------------------------------------------------------------
+# _stable_partition against a test-local reference
+# ---------------------------------------------------------------------------
+
+def _ref_merge(sets):
+    """Key groups, merged while two groups' sets share an element."""
+    groups = [({v}, set(x)) for v, x in sorted(sets.items())]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i][1] & groups[j][1]:
+                    keys, elems = groups.pop(j)
+                    groups[i][0].update(keys)
+                    groups[i][1].update(elems)
+                    merged = True
+                    break
+            if merged:
+                break
+    return sorted((frozenset(keys) for keys, _x in groups), key=min)
+
+
+def ref_stable_partition(g, wp, k, max_radius):
+    """The machine's definition: at n = 1, 2, ... the boundary vertices
+    whose reach grows from n to n+1 are active, and active vertices are
+    merged while their reach sets at n+1 share an edge.  Fewer than k groups
+    is a contradiction; exactly k ends the search, and each inactive vertex
+    keeps its reach at n."""
+    removed = as_triples(wp)
+    bnd = sorted(v for v in edge_induced_vertices(wp) if _surviving_edges(g, removed, v))
+    for n in range(1, max_radius + 1):
+        now = {v: _ref_reach(g, removed, v, n) for v in bnd}
+        nxt = {v: _ref_reach(g, removed, v, n + 1) for v in bnd}
+        groups = _ref_merge({v: nxt[v] for v in bnd if now[v] != nxt[v]})
+        if len(groups) < k:
+            raise UnsoundCertificateDetected(len(groups))
+        if len(groups) == k:
+            active = set().union(*groups)
+            return groups, {v: now[v] for v in bnd if v not in active}
+    return None
+
+
+# ends of the STOCK members that have finitely many
+STOCK_ENDS = {
+    "nat-line": 1, "int-line": 2, "cycle-chain": 2, "cycle-chain-all": 1, "rays<k>": 4,
+    "one-way-multi": 2, "doubled-chain": 2, "sigma21-line": 1, "pi1-line": 1, "delta2": 2,
+    "lines-with-sticks": 2, "comb": 2, "lambda": 1, "lambda-quadrant": 1, "loopy-line": 1,
+}
+PARTITION_GRAPHS = {name: (STOCK[name][0], ends) for name, ends in STOCK_ENDS.items()}
+PARTITION_GRAPHS.update({"core-plus-rays-%d-%d" % (seed, k): (
+    lambda seed=seed, k=k: CorePlusRays(seed, size=4, k=k), k) for seed, k in CORES})
+
+
+def _outcome(run):
+    try:
+        got = run()
+    except UnsoundCertificateDetected:
+        return "unsound"
+    if got is None:
+        return None
+    groups, finite = got
+    return groups, {v: set(map(tuple, reach)) for v, reach in finite.items()}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_GRAPHS))
+def test_stable_partition_against_reference(name):
+    make, k = PARTITION_GRAPHS[name]
+    g = make()
+    fuel = Fuel(max_radius=6 if name == "lambda" else 16)
+    # the radius-r balls, as the window machine uses, and seeded small
+    # removals, which leave more finite pieces and more groups than k
+    wps = [ball(g, g.basepoint, r).edges for r in range(1, 5 if name != "lambda" else 3)]
+    for wp in wps + [edge_set(e) for e in _removals(name, g)]:
+        want = _outcome(lambda: ref_stable_partition(g, wp, k, fuel.max_radius))
+        assert _outcome(lambda: _stable_partition(g, wp, k, fuel)) == want, sorted(wp)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +442,56 @@ def test_boundary_partition_lollipop_cycle_edge():
     got = boundary_partition(g, {edge(-1, 0)}, EndsCertificate(1))
     assert got.infinite_groups == (frozenset({-1, 0}),)
     assert got.finite_group == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the deciders against the brute oracle on random cores with rays
+# ---------------------------------------------------------------------------
+
+def _subsets(edges):
+    edges = sorted(edges)
+    for mask in range(1 << len(edges)):
+        yield frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("seed,k", CORES)
+def test_deciders_against_brute_on_core_plus_rays(seed, k):
+    """decide_comp, comp_counter, boundary_partition and the last stage of
+    comp_approx agree with the brute oracle on every subset E of the core's
+    edges plus the first edge of each ray.
+
+    These subsets suffice for the component count.  Map any finite removal
+    F to E by keeping its core edges and, for each ray F cuts, removing
+    that ray's first edge in place of F's edges on it.  The ray's tail past
+    the last cut is an infinite component either way, the stretches between
+    cuts are finite either way, and a finite stretch still hanging from the
+    core cannot make a core component infinite.  So F and E leave the same
+    number of infinite components, with the same core vertices in them.
+
+    The stage bound: a finite component lies inside the core, so its reach
+    stops growing by stage `size`; two carriers of one infinite component
+    are joined by a path through the core and the rays' first vertices, of
+    length below size + k <= 2n - 1 at n = size + k.
+    """
+    g = CorePlusRays(seed, size=4, k=k)
+    cert = EndsCertificate(k, g.ray_edges)
+    universe = g.core_edges() | g.ray_edges
+    count = comp_counter(g, universe, cert)
+    last = g.size + k
+    for e in _subsets(universe):
+        truth, finite = brute_components(g, as_triples(e), g.quiet + 3, g.end_label, g.quiet)
+        assert decide_comp(g, e, cert) == truth, sorted(e)
+        assert count(e) == truth, sorted(e)
+        if not e:
+            continue
+        stages = [comp_approx(g, e, n) for n in range(last + 1)]
+        assert min(stages) >= truth and stages[-1] == truth, (sorted(e), stages)
+        ends = edge_induced_vertices(e)
+        stranded = {v for v in ends if not _surviving_edges(g, as_triples(e), v)}
+        got = boundary_partition(g, e, cert)
+        assert got.finite_group == stranded.union(*finite) & ends, sorted(e)
+        assert len(got.infinite_groups) == truth, sorted(e)
+        assert got.finite_group.union(*got.infinite_groups) == ends, sorted(e)
 
 
 # ---------------------------------------------------------------------------
