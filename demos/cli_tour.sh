@@ -5,12 +5,13 @@
 # output.
 #
 # Run: sh demos/cli_tour.sh
+# The tour stops at the first exit code other than 0 or 2.
 set -e
 
 run() {
     echo
     echo "\$ graphends $*"
-    graphends "$@" || echo "(exit $?)"
+    graphends "$@" || { rc=$?; [ "$rc" -eq 2 ] || exit "$rc"; echo "(exit 2)"; }
 }
 
 run ball --graph lines-with-sticks:halt@3 --radius 4

@@ -7,6 +7,15 @@ resolution -- so a run is reproducible from its own output.
 
 Exit codes: 0 a definite answer, 2 the search budget ran out first
 (Unknown), 1 a usage or input error.  Unknown never masquerades as No.
+
+Every command is one row of ``COMMANDS``: its name, help, handler and flag
+specs, with the shared flag groups (graph, edges, certificate, fuel,
+vertex) spliced in.  ``build_parser`` turns any list of rows into a
+parser.  A run names one command, so ``main`` builds the subparser of that
+row alone: argparse construction costs about a millisecond for all fifteen,
+more than most commands take to run.  Without a known command name first
+(``--help``, no command, a misspelt one) it builds them all, so the listing
+and the usage errors are those of the full table.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import argparse
 import re
 import sys
 from itertools import product as _cartesian
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .graph_core import (
     EdgeSet, EndsCertificate, Fuel, GraphError, Unknown,
@@ -103,6 +112,12 @@ def _fuel(args) -> Fuel:
 
 def _fuel_pair(fuel: Fuel):
     return ("fuel", "radius=%d steps=%d" % (fuel.max_radius, fuel.max_steps))
+
+
+def _unknown(fuel: Fuel, reason: str = "radius budget %d exhausted") -> int:
+    """Report that the radius budget ran out; exit code 2."""
+    print("Unknown (%s)" % (reason % fuel.max_radius))
+    return 2
 
 
 def _certificate(g, args, fuel: Fuel) -> EndsCertificate:
@@ -196,8 +211,7 @@ def _cmd_decide_comp(args) -> int:
     cert = _certificate(g, args, fuel)
     got = decide_comp(g, e, cert, fuel)
     if isinstance(got, Unknown):
-        print("Unknown (radius budget %d exhausted)" % fuel.max_radius)
-        return 2
+        return _unknown(fuel)
     print(got)
     return 0
 
@@ -212,8 +226,7 @@ def _cmd_boundary(args) -> int:
     cert = _certificate(g, args, fuel)
     bp = boundary_partition(g, e, cert, fuel)
     if isinstance(bp, Unknown):
-        print("Unknown (radius budget %d exhausted)" % fuel.max_radius)
-        return 2
+        return _unknown(fuel)
     for i, grp in enumerate(bp.infinite_groups, 1):
         print("infinite component %d: %s"
               % (i, " ".join(str(v) for v in sorted(grp))))
@@ -247,9 +260,8 @@ def _cmd_minimal_sep(args) -> int:
                             _fuel_pair(fuel)])
     cert = _certificate(g, args, fuel)
     counter = comp_counter(g, shell, cert, fuel)
-    if counter is None:
-        print("Unknown (no decision window within radius %d)" % fuel.max_radius)
-        return 2
+    if isinstance(counter, Unknown):
+        return _unknown(fuel, "no decision window within radius %d")
     mins = minimal_separating_subsets(g, shell, lambda s: counter(s) >= 2)
     print("shell: %d edges; minimal separating subsets: %d"
           % (len(shell), len(mins)))
@@ -274,8 +286,7 @@ def _cmd_ends_from_sepmax(args) -> int:
 
     k = ends_from_sepmax(g, oracle, fuel)
     if isinstance(k, Unknown):
-        print("Unknown (radius budget %d exhausted)" % fuel.max_radius)
-        return 2
+        return _unknown(fuel)
     print(k)
     if k != args.ends:
         print("note: recovered count differs from --ends %d" % args.ends)
@@ -304,8 +315,7 @@ def _cmd_path_extend(args) -> int:
     p = check_simple_path(g, verts)
     t = decide_extendable(g, p, cert, fuel)
     if t.is_unknown:
-        print("Unknown (radius budget %d exhausted)" % fuel.max_radius)
-        return 2
+        return _unknown(fuel)
     print("Yes" if t.is_yes else "No")
     return 0
 
@@ -320,8 +330,7 @@ def _cmd_greedy_path(args) -> int:
     cert = _certificate(g, args, fuel)
     got = greedy_infinite_path(g, start, cert, args.length, fuel)
     if isinstance(got, Unknown):
-        print("Unknown (radius budget %d exhausted)" % fuel.max_radius)
-        return 2
+        return _unknown(fuel)
     print("length %d: %s"
           % (got.edge_count, ",".join(str(v) for v in got.vertices)))
     return 0
@@ -437,161 +446,104 @@ def _cmd_dot_export(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
 # ---------------------------------------------------------------------------
 
-def _add_graph(sp) -> None:
-    sp.add_argument("--graph", required=True,
-                    help="gadget literal kind[:schedule]; see gadget-list")
+# A flag spec is (flag, add_argument keywords); the shared groups below are
+# spliced into the rows in the order each command lists its flags.  Rows
+# whose flag differs from a group spell it out: comp-approx alone documents
+# --edges, and sepmax-witness takes --ends without --witness.
+_GRAPH = [("--graph", dict(required=True,
+                           help="gadget literal kind[:schedule]; see gadget-list"))]
+_EDGES = [("--edges", dict(required=True))]
+_CERT = [("--ends", dict(type=int, required=True,
+                         help="number of ends the certificate promises")),
+         ("--witness", dict(default="auto",
+                            help='maximal-separation witness edge literal, or '
+                                 '"auto" to search for one (default)'))]
+_FUEL = [("--fuel-radius", dict(type=int, default=64,
+                                help="search radius budget (default 64)")),
+         ("--fuel-steps", dict(type=int, default=400_000,
+                               help="visit budget (default 400000)"))]
+_VERTEX = dict(type=int, default=None, help="default: the graph's basepoint")
+_BALL = [("--center", _VERTEX), ("--radius", dict(type=int, required=True))]
+_ONE_OR_TWO_WAY = dict(choices=("one-way", "two-way"), required=True)
+
+# (command, help, handler, flag specs), in the order --help lists them
+COMMANDS = [
+    ("ball", "extract an induced ball", _cmd_ball, _GRAPH + _BALL),
+    ("comp-approx", "stage-n over-approximation of Comp", _cmd_comp_approx,
+     _GRAPH + [("--edges", dict(required=True, help='edge literal "(u,v);..."')),
+               ("--n", dict(type=int, required=True, help="stage radius"))]),
+    ("decide-comp", "exact infinite-component count, certified",
+     _cmd_decide_comp, _GRAPH + _EDGES + _CERT + _FUEL),
+    ("boundary", "classify removed-edge endpoints by fate", _cmd_boundary,
+     _GRAPH + _EDGES + _CERT + _FUEL),
+    ("sep-semidecide", "one-sided check that a set does not separate",
+     _cmd_sep_semidecide, _GRAPH + _EDGES + _FUEL),
+    ("minimal-sep", "minimal separating subsets of a shell", _cmd_minimal_sep,
+     _GRAPH + [("--shell-radius", dict(type=int, required=True))] + _CERT + _FUEL),
+    ("ends-from-sepmax", "recover the end count from a sepmax oracle",
+     _cmd_ends_from_sepmax, _GRAPH + _CERT + _FUEL),
+    ("sepmax-witness", "find and certify a maximal-separation witness",
+     _cmd_sepmax_witness,
+     _GRAPH + [("--ends", dict(type=int, required=True))] + _FUEL),
+    ("path-extend", "does a finite simple path extend to infinity",
+     _cmd_path_extend,
+     _GRAPH + [("--path", dict(required=True, help='vertex list "0,1,2"'))]
+     + _CERT + _FUEL),
+    ("greedy-path", "grow a simple path without backtracking", _cmd_greedy_path,
+     _GRAPH + [("--start", _VERTEX), ("--length", dict(type=int, required=True))]
+     + _CERT + _FUEL),
+    ("euler-check", "one-way / two-way Eulerian-path conditions",
+     _cmd_euler_check,
+     _GRAPH + [("--mode", _ONE_OR_TWO_WAY)] + _CERT
+     + [("--parity-radius", dict(type=int, default=None,
+                                 help="all odd vertices lie within this radius")),
+        ("--loc-radius", dict(type=int, default=None,
+                              help="any separating even-inducing set lies "
+                                   "within this radius (two-way only)"))]
+     + _FUEL),
+    ("gadget-list", "list the gadget registry", _cmd_gadget_list, []),
+    ("automatic-eval", "evaluate a formula over a presentation",
+     _cmd_automatic_eval,
+     [("--presentation", dict(required=True,
+                              help="file path, or builtin: nat-line | grid")),
+      ("--formula", dict(required=True, help="s-expression")),
+      ("--max-len", dict(type=int, default=4,
+                         help="code length bound when listing satisfying "
+                              "assignments of an open formula (default 4)")),
+      ("--limit", dict(type=int, default=40,
+                       help="max assignments listed (default 40)"))]),
+    ("automatic-euler", "Eulerian-condition decider on a presentation",
+     _cmd_automatic_euler,
+     [("--presentation", dict(required=True)), ("--which", _ONE_OR_TWO_WAY)]),
+    ("dot-export", "DOT rendering of a ball", _cmd_dot_export,
+     _GRAPH + _BALL
+     + [("--edges", dict(default="", help="removed edges to draw dashed")),
+        ("--out", dict(default=None, help="write here, not stdout"))]),
+]
+_BY_NAME = {row[0]: row for row in COMMANDS}
 
 
-def _add_fuel(sp) -> None:
-    sp.add_argument("--fuel-radius", type=int, default=64,
-                    help="search radius budget (default 64)")
-    sp.add_argument("--fuel-steps", type=int, default=400_000,
-                    help="visit budget (default 400000)")
-
-
-def _add_cert(sp) -> None:
-    sp.add_argument("--ends", type=int, required=True,
-                    help="number of ends the certificate promises")
-    sp.add_argument("--witness", default="auto",
-                    help='maximal-separation witness edge literal, or '
-                         '"auto" to search for one (default)')
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(rows=COMMANDS) -> argparse.ArgumentParser:
+    """The top-level parser with one subparser per row of `rows`."""
     parser = _Parser(prog="graphends",
                      description="certified deciders on lazily described "
                                  "infinite graphs")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    sp = sub.add_parser("ball", help="extract an induced ball")
-    _add_graph(sp)
-    sp.add_argument("--center", type=int, default=None,
-                    help="default: the graph's basepoint")
-    sp.add_argument("--radius", type=int, required=True)
-    sp.set_defaults(func=_cmd_ball)
-
-    sp = sub.add_parser("comp-approx",
-                        help="stage-n over-approximation of Comp")
-    _add_graph(sp)
-    sp.add_argument("--edges", required=True, help='edge literal "(u,v);..."')
-    sp.add_argument("--n", type=int, required=True, help="stage radius")
-    sp.set_defaults(func=_cmd_comp_approx)
-
-    sp = sub.add_parser("decide-comp",
-                        help="exact infinite-component count, certified")
-    _add_graph(sp)
-    sp.add_argument("--edges", required=True)
-    _add_cert(sp)
-    _add_fuel(sp)
-    sp.set_defaults(func=_cmd_decide_comp)
-
-    sp = sub.add_parser("boundary",
-                        help="classify removed-edge endpoints by fate")
-    _add_graph(sp)
-    sp.add_argument("--edges", required=True)
-    _add_cert(sp)
-    _add_fuel(sp)
-    sp.set_defaults(func=_cmd_boundary)
-
-    sp = sub.add_parser("sep-semidecide",
-                        help="one-sided check that a set does not separate")
-    _add_graph(sp)
-    sp.add_argument("--edges", required=True)
-    _add_fuel(sp)
-    sp.set_defaults(func=_cmd_sep_semidecide)
-
-    sp = sub.add_parser("minimal-sep",
-                        help="minimal separating subsets of a shell")
-    _add_graph(sp)
-    sp.add_argument("--shell-radius", type=int, required=True)
-    _add_cert(sp)
-    _add_fuel(sp)
-    sp.set_defaults(func=_cmd_minimal_sep)
-
-    sp = sub.add_parser("ends-from-sepmax",
-                        help="recover the end count from a sepmax oracle")
-    _add_graph(sp)
-    _add_cert(sp)
-    _add_fuel(sp)
-    sp.set_defaults(func=_cmd_ends_from_sepmax)
-
-    sp = sub.add_parser("sepmax-witness",
-                        help="find and certify a maximal-separation witness")
-    _add_graph(sp)
-    sp.add_argument("--ends", type=int, required=True)
-    _add_fuel(sp)
-    sp.set_defaults(func=_cmd_sepmax_witness)
-
-    sp = sub.add_parser("path-extend",
-                        help="does a finite simple path extend to infinity")
-    _add_graph(sp)
-    sp.add_argument("--path", required=True, help='vertex list "0,1,2"')
-    _add_cert(sp)
-    _add_fuel(sp)
-    sp.set_defaults(func=_cmd_path_extend)
-
-    sp = sub.add_parser("greedy-path",
-                        help="grow a simple path without backtracking")
-    _add_graph(sp)
-    sp.add_argument("--start", type=int, default=None,
-                    help="default: the graph's basepoint")
-    sp.add_argument("--length", type=int, required=True)
-    _add_cert(sp)
-    _add_fuel(sp)
-    sp.set_defaults(func=_cmd_greedy_path)
-
-    sp = sub.add_parser("euler-check",
-                        help="one-way / two-way Eulerian-path conditions")
-    _add_graph(sp)
-    sp.add_argument("--mode", choices=("one-way", "two-way"), required=True)
-    _add_cert(sp)
-    sp.add_argument("--parity-radius", type=int, default=None,
-                    help="all odd vertices lie within this radius")
-    sp.add_argument("--loc-radius", type=int, default=None,
-                    help="any separating even-inducing set lies within "
-                         "this radius (two-way only)")
-    _add_fuel(sp)
-    sp.set_defaults(func=_cmd_euler_check)
-
-    sp = sub.add_parser("gadget-list", help="list the gadget registry")
-    sp.set_defaults(func=_cmd_gadget_list)
-
-    sp = sub.add_parser("automatic-eval",
-                        help="evaluate a formula over a presentation")
-    sp.add_argument("--presentation", required=True,
-                    help="file path, or builtin: nat-line | grid")
-    sp.add_argument("--formula", required=True, help="s-expression")
-    sp.add_argument("--max-len", type=int, default=4,
-                    help="code length bound when listing satisfying "
-                         "assignments of an open formula (default 4)")
-    sp.add_argument("--limit", type=int, default=40,
-                    help="max assignments listed (default 40)")
-    sp.set_defaults(func=_cmd_automatic_eval)
-
-    sp = sub.add_parser("automatic-euler",
-                        help="Eulerian-condition decider on a presentation")
-    sp.add_argument("--presentation", required=True)
-    sp.add_argument("--which", choices=("one-way", "two-way"), required=True)
-    sp.set_defaults(func=_cmd_automatic_euler)
-
-    sp = sub.add_parser("dot-export", help="DOT rendering of a ball")
-    _add_graph(sp)
-    sp.add_argument("--center", type=int, default=None,
-                    help="default: the graph's basepoint")
-    sp.add_argument("--radius", type=int, required=True)
-    sp.add_argument("--edges", default="",
-                    help="removed edges to draw dashed")
-    sp.add_argument("--out", default=None, help="write here, not stdout")
-    sp.set_defaults(func=_cmd_dot_export)
-
+    for name, help_text, handler, specs in rows:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in specs:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    row = _BY_NAME.get(argv[0]) if argv else None
+    parser = build_parser([row] if row else COMMANDS)
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):

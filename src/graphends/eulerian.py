@@ -344,7 +344,7 @@ def check_two_way(g: GraphOracle, ends_cert: EndsCertificate,
     blocks = _cycle_blocks(region)
     exhaustive = all(dim <= _SWEEP_DIM_CAP for _b, dim in blocks)
     count = comp_counter(g, frozenset(region), ends_cert, fuel)
-    if count is None:
+    if isinstance(count, Unknown):
         return EulerVerdict.unknown(fuel_spent=fuel.max_radius,
                                     certified=tuple(certified),
                                     searched=tuple(searched) + ("separator-window",))

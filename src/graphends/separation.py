@@ -317,7 +317,7 @@ def comp_counter(g: GraphOracle, region, cert: EndsCertificate,
     """Prepare one decision window for a whole region of candidate removals.
 
     Returns a callable mapping any edge set inside `region` to its exact
-    Comp value, or None when the window cannot be built within fuel.  The
+    Comp value, or Unknown when the window cannot be built within fuel.  The
     window's validity depends only on covering the region, so amortizing it
     over many candidates (e.g. a subset sweep) changes nothing about
     soundness -- each count equals what decide_comp would say.
@@ -330,7 +330,7 @@ def comp_counter(g: GraphOracle, region, cert: EndsCertificate,
         return lambda e: 1
     win = _build_window(g, region, cert, fuel)
     if win is None:
-        return None
+        return Unknown(fuel.max_radius)
 
     def count(e) -> int:
         e = check_edge_set(g, e)
@@ -346,8 +346,10 @@ def comp_counter(g: GraphOracle, region, cert: EndsCertificate,
 def _window_classes(g, win, e):
     """Merge window-boundary groups through the finite graph U minus e.
 
-    Returns a list of (set of group indices, set of H-components) classes;
-    two groups are one class when some component of U minus e touches both.
+    Returns a list of (set of group indices, list of H-components) classes,
+    ordered by their least window-boundary vertex; two groups are one class
+    when some component of U minus e touches both.  Components that touch
+    no group are finite and belong to no class.
     """
     h_verts = edge_induced_vertices(win.edges)
     h_comps = finite_components(h_verts, win.edges, removed=e)
@@ -385,22 +387,12 @@ def boundary_partition(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
     win = _build_window(g, e, cert, fuel)
     if win is None:
         return Unknown(fuel.max_radius)
-    bnd = edge_induced_vertices(e)
-
-    h_verts = edge_induced_vertices(win.edges)
-    h_comps = finite_components(h_verts, win.edges, removed=e)
-    comp_of = {v: c for c in h_comps for v in c}
-
-    classes = _window_classes(g, win, e)
-    class_of_comp = {}
-    for ci, (_gids, comps) in enumerate(classes):
-        for c in comps:
-            class_of_comp[c] = ci
-
+    class_of = {v: ci for ci, (_gids, comps) in enumerate(_window_classes(g, win, e))
+                for c in comps for v in c}
     infinite: Dict[int, set] = {}
     finite = set()
-    for b in bnd:
-        ci = class_of_comp.get(comp_of[b])
+    for b in edge_induced_vertices(e):
+        ci = class_of.get(b)
         if ci is None:
             finite.add(b)
         else:

@@ -22,6 +22,12 @@ def last_line(out):
     return [ln for ln in out.splitlines() if ln.strip()][-1]
 
 
+COMMANDS = ("ball", "comp-approx", "decide-comp", "boundary", "sep-semidecide",
+            "minimal-sep", "ends-from-sepmax", "sepmax-witness", "path-extend",
+            "greedy-path", "euler-check", "gadget-list", "automatic-eval",
+            "automatic-euler", "dot-export")
+
+
 # ---------------------------------------------------------------------------
 # literals
 # ---------------------------------------------------------------------------
@@ -79,6 +85,47 @@ def test_usage_errors_exit_1(cli):
     assert "--loc-radius" in err
     _, err = cli(code=1)
     assert "no command" in err
+
+
+def test_unknown_command_is_pinned(cli):
+    out, err = cli("nosuch", "--graph", "int-line", code=1)
+    assert out == ""
+    assert err == ("usage error: argument command: invalid choice: 'nosuch' "
+                   "(choose from %s)\n" % ", ".join(repr(c) for c in COMMANDS))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decide-comp", "--graph", "int-line"),
+     "the following arguments are required: --edges, --ends"),
+    (("decide-comp", "--graph", "int-line", "--edges", "junk",
+      "--ends", "2", "--witness", "(0,1)"),
+     "bad edge literal 'junk' (near 'junk')"),
+    ((), "no command given (try gadget-list, --help)"),
+], ids=["missing-flags", "bad-literal", "no-command"])
+def test_usage_errors_are_pinned(cli, argv, message):
+    out, err = cli(*argv, code=1)
+    assert out == ""
+    assert err == "usage error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv", [()] + [(c,) for c in COMMANDS],
+                         ids=["top"] + list(COMMANDS))
+def test_help_exits_0_and_names_the_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: %s " % " ".join(("graphends",) + argv))
+    assert err == ""
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr()[0]
+    listed = [ln.split()[0] for ln in out.splitlines()
+              if ln.startswith("    ") and not ln.startswith("     ")]
+    assert tuple(listed) == COMMANDS
 
 
 def test_unknown_exits_2_and_never_claims_no(cli):
@@ -189,6 +236,13 @@ def test_minimal_sep_lists_singletons_on_the_line(cli):
     assert "minimal separating subsets: 2" in out
     assert "(-1,0)" in out.splitlines()
     assert "(0,1)" in out.splitlines()
+
+
+def test_minimal_sep_without_a_window_is_unknown(cli):
+    out, _ = cli("minimal-sep", "--graph", "int-line", "--shell-radius", "5",
+                 "--ends", "2", "--witness", "(0,1)", "--fuel-radius", "3",
+                 code=2)
+    assert last_line(out) == "Unknown (no decision window within radius 3)"
 
 
 def test_ends_from_sepmax_recovers_three(cli):

@@ -340,6 +340,18 @@ def test_decide_comp_two_ended_line():
     assert decide_comp(g, frozenset(), cert) == 1
 
 
+def test_a_small_radius_budget_is_unknown_to_every_window_decider():
+    # (5,6) lies beyond radius 3 of the basepoint, so no window fits
+    g = IntLine()
+    cert = EndsCertificate(2, {edge(0, 1)})
+    region = {edge(5, 6)}
+    fuel = Fuel(max_radius=3)
+    assert comp_counter(g, region, cert, fuel) == Unknown(3)
+    assert decide_comp(g, region, cert, fuel) == Unknown(3)
+    assert boundary_partition(g, region, cert, fuel) == Unknown(3)
+    assert comp_counter(g, region, cert, Fuel(max_radius=8))(region) == 2
+
+
 def test_decide_comp_one_ended_shortcut():
     g = CycleChain(CeEnumeration(every_stage=True))
     cert = EndsCertificate(1)
