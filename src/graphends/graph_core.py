@@ -388,30 +388,12 @@ def finite_components(vertices: Iterable[VertexId], edges: Iterable[EdgeRef],
     """
     verts = set(vertices)
     gone = edge_set(removed)
-    adj: Dict[VertexId, set] = {v: set() for v in verts}
+    sets = DisjointSets(verts)
     for e in edges:
         e = edge(*e)
-        if e in gone or e.u not in verts or e.v not in verts:
-            continue
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
-    seen = set()
-    comps = []
-    for v in sorted(verts):
-        if v in seen:
-            continue
-        comp = {v}
-        seen.add(v)
-        q = deque([v])
-        while q:
-            x = q.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    q.append(y)
-        comps.append(frozenset(comp))
-    return comps
+        if e not in gone and e.u in verts and e.v in verts:
+            sets.union(e.u, e.v)
+    return sorted((frozenset(c) for c in sets.classes().values()), key=min)
 
 
 def edge_induced_vertices(edges: Iterable[EdgeRef]) -> FrozenSet[VertexId]:

@@ -34,9 +34,9 @@ from .graph_core import (
     bfs_layers,
     check_edge_set,
     distances_from,
+    edge,
     edge_induced_vertices,
     edges_at,
-    finite_components,
     severed,
 )
 
@@ -219,64 +219,69 @@ class BoundaryPartition:
 _NO_VERTICES: FrozenSet[VertexId] = frozenset()  # every empty finite group
 
 
-class _Window:
-    """The certified decision window: a finite edge set U containing E and
-    the witness, engineered so G minus U has exactly `ends` infinite
-    components, no finite ones, and its boundary groups are known."""
+def _walk_ball(g: GraphOracle, max_radius: int):
+    """Grow ball(g, basepoint, r) for r = 0, 1, ..., max_radius on one BFS:
+    yields (r, layer r, the edges of ball(r) not in ball(r-1))."""
+    closer = set()  # the vertices of layers 0..r-1
+    for r, layer in enumerate(islice(bfs_layers(g, g.basepoint), max_radius + 1)):
+        here = set(layer)
+        new = {edge(v, w, s) for v in layer for w, m in g.neighbors(v)
+               if w in closer or (w in here and w >= v) for s in range(m)}
+        yield r, layer, new
+        closer |= here
 
-    def __init__(self, u_edges, groups):
-        self.edges = u_edges
-        self.groups = groups
 
+def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel):
+    """The certified decision window, as (U, groups): a finite edge set U
+    containing e and the witness, grown until G minus U has exactly
+    cert.ends infinite components and no finite ones; groups holds the
+    boundary vertices of U, one group per infinite component.  None when
+    fuel runs out.
 
-def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
-                  fuel: Fuel) -> Optional[_Window]:
+    One walk out from the basepoint builds it.  The first ball(r0), r0 >= 1,
+    holding every endpoint of e and the witness is split by
+    `_stable_partition`.  Each later layer's edges join their endpoints in
+    one union-find, and the walk stops at the first r1 at which every group
+    of that split lies in one class: each same-component pair of boundary
+    vertices of ball(r0) reconnects inside the annulus ball(r1) minus
+    ball(r0), and r1 > r0 puts every edge at an endpoint of e inside the
+    window.  Finally the finite debris of G minus ball(r1) is absorbed.
+    """
     k = cert.ends
-    r0 = _cover_radius(g, e | cert.witness, fuel)
-    if r0 is None:
+    missing = set(edge_induced_vertices(e | cert.witness))
+    walk = _walk_ball(g, fuel.max_radius)
+    u = set()
+    for r, layer, new in walk:
+        u |= new
+        missing.difference_update(layer)
+        if r >= 1 and not missing:
+            break
+    else:
         return None
-    b0 = ball(g, g.basepoint, r0)
-    got = _stable_partition(g, b0.edges, k, fuel)
+    got = _stable_partition(g, frozenset(u), k, fuel)
     if got is None:
         return None
-    groups0, _fin0 = got
-
-    # grow until every same-component pair of window-boundary vertices
-    # reconnects inside the annulus; r1 > r0 also guarantees every edge at an
-    # endpoint of e lies inside the window
-    r1 = None
-    for r in range(r0 + 1, fuel.max_radius + 1):
-        br = ball(g, g.basepoint, r)
-        annulus = br.edges - b0.edges
-        comps = finite_components(edge_induced_vertices(annulus), annulus)
-        by_vertex = {}
-        for i, c in enumerate(comps):
-            for v in c:
-                by_vertex[v] = i
-        ok = True
-        for grp in groups0:
-            if len(grp) < 2:
-                continue  # nothing to reconnect
-            ids = {by_vertex.get(v) for v in grp}
-            if len(ids) != 1 or None in ids:
-                ok = False
-                break
-        if ok:
-            r1 = r
-            u1 = br.edges
+    # boundary vertices of ball(r0) all lie in its last layer
+    reconnect = [grp for grp in got[0] if len(grp) > 1]
+    annulus = DisjointSets(layer)
+    for _r, layer, new in walk:
+        annulus.parent.update(zip(layer, layer))  # each new vertex a class of its own
+        for er in new:
+            annulus.union(er.u, er.v)
+        u |= new
+        if all(len({annulus.find(v) for v in grp}) == 1 for grp in reconnect):
             break
-    if r1 is None:
+    else:
         return None
 
     # absorb the finite debris of G minus the window
-    u = set(u1)
     for _attempt in range(fuel.max_radius):
         got = _stable_partition(g, frozenset(u), k, fuel)
         if got is None:
             return None
         groups, finite = got
         if not finite:
-            return _Window(frozenset(u), groups)
+            return frozenset(u), groups
         for fr in finite.values():
             u |= fr
     return None
@@ -297,19 +302,11 @@ def decide_comp(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
 
     With one end the answer is always 1.  Otherwise the witness is grown
     into a window U whose outside is fully understood, and the question
-    reduces to connectivity of the finite graph U minus e.
+    reduces to connectivity of the finite graph U minus e: this is
+    comp_counter's count with e as its own region.
     """
-    e = check_edge_set(g, e)
-    _check_certificate(g, cert)
-    if not e:
-        return 1
-    if cert.ends == 1:
-        return 1
-    win = _build_window(g, e, cert, fuel)
-    if win is None:
-        return Unknown(fuel.max_radius)
-    classes = _window_classes(g, win, e)
-    return len(classes)
+    count = comp_counter(g, e, cert, fuel)
+    return count if isinstance(count, Unknown) else count(e)
 
 
 def comp_counter(g: GraphOracle, region, cert: EndsCertificate,
@@ -320,13 +317,11 @@ def comp_counter(g: GraphOracle, region, cert: EndsCertificate,
     Comp value, or Unknown when the window cannot be built within fuel.  The
     window's validity depends only on covering the region, so amortizing it
     over many candidates (e.g. a subset sweep) changes nothing about
-    soundness -- each count equals what decide_comp would say.
+    soundness.
     """
     region = check_edge_set(g, region)
     _check_certificate(g, cert)
-    if cert.ends == 1:
-        return lambda e: 1
-    if not region:
+    if cert.ends == 1 or not region:
         return lambda e: 1
     win = _build_window(g, region, cert, fuel)
     if win is None:
@@ -338,38 +333,26 @@ def comp_counter(g: GraphOracle, region, cert: EndsCertificate,
             return 1
         if not e <= region:
             raise GraphError("candidate removal leaves the prepared region")
-        return len(_window_classes(g, win, e))
+        return len(_window_classes(win, e)[1])
 
     return count
 
 
-def _window_classes(g, win, e):
-    """Merge window-boundary groups through the finite graph U minus e.
-
-    Returns a list of (set of group indices, list of H-components) classes,
-    ordered by their least window-boundary vertex; two groups are one class
-    when some component of U minus e touches both.  Components that touch
-    no group are finite and belong to no class.
-    """
-    h_verts = edge_induced_vertices(win.edges)
-    h_comps = finite_components(h_verts, win.edges, removed=e)
-    idx_of = {}
-    for gi, grp in enumerate(win.groups):
+def _window_classes(win, e):
+    """Union-find over the vertices of the window U, fed U minus e and the
+    members of each window-boundary group, which meet in that group's
+    infinite component outside U.  Returns it with the roots of the classes
+    that hold a group: each such class is one infinite component of G minus
+    e, and every other class is finite."""
+    u_edges, groups = win
+    sets = DisjointSets(edge_induced_vertices(u_edges))
+    for er in u_edges - e:
+        sets.union(er.u, er.v)
+    for grp in groups:
+        first = min(grp)
         for v in grp:
-            idx_of[v] = gi
-    sets = DisjointSets(range(len(win.groups)))
-    comp_groups = []
-    for c in h_comps:
-        gids = sorted({idx_of[v] for v in c if v in idx_of})
-        comp_groups.append(gids)
-        for a, b in zip(gids, gids[1:]):
-            sets.union(a, b)
-    classes = sets.classes()
-    out = []
-    for root in sorted(classes, key=lambda r: min(min(win.groups[i]) for i in classes[r])):
-        members = [c for c, cg in zip(h_comps, comp_groups) if cg and sets.find(cg[0]) == root]
-        out.append((classes[root], members))
-    return out
+            sets.union(first, v)
+    return sets, {sets.find(min(grp)) for grp in groups}
 
 
 def boundary_partition(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
@@ -387,16 +370,15 @@ def boundary_partition(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
     win = _build_window(g, e, cert, fuel)
     if win is None:
         return Unknown(fuel.max_radius)
-    class_of = {v: ci for ci, (_gids, comps) in enumerate(_window_classes(g, win, e))
-                for c in comps for v in c}
+    sets, held = _window_classes(win, e)
     infinite: Dict[int, set] = {}
     finite = set()
     for b in edge_induced_vertices(e):
-        ci = class_of.get(b)
-        if ci is None:
-            finite.add(b)
+        root = sets.find(b)
+        if root in held:
+            infinite.setdefault(root, set()).add(b)
         else:
-            infinite.setdefault(ci, set()).add(b)
+            finite.add(b)
     groups = sorted((frozenset(v) for v in infinite.values()), key=min)
     return BoundaryPartition(tuple(groups), frozenset(finite) if finite else _NO_VERTICES)
 
@@ -432,10 +414,8 @@ def minimal_separating_subsets(g: GraphOracle, shell: EdgeSet,
     cover = _cover_radius(g, shell, Fuel())
     if cover is None:
         raise GraphError("shell endpoints out of reach")
-    dist = distances_from(g, g.basepoint, cover + 1)
-    r = max(max(dist.get(er.u, 0), dist.get(er.v, 0)) for er in shell)
-    if shell != shell_edges(g, r):
-        raise NotAShell("not the full edge layer at radius %d" % r)
+    if shell != shell_edges(g, cover):
+        raise NotAShell("not the full edge layer at radius %d" % cover)
     if len(shell) > _SUBSET_CAP:
         raise GraphError("shell too large to enumerate (%d edges)" % len(shell))
     found = _minimal_subsets(shell, sep_decider)

@@ -290,7 +290,10 @@ def test_refutations_are_fuel_monotone():
         assert v.is_fails and v.reason == NO_EVEN_SEPARATOR_CLAUSE
 
 
-def test_comp_counter_agrees_with_decide_comp():
+def test_comp_counter_agrees_with_brute_on_doubled_chain():
+    """The window count against the brute oracle on a graph whose every
+    edge has a parallel copy, so removing one copy severs nothing; the
+    last two candidates cut the positive ray off at 6 and leave 2."""
     g = Doubled(CycleChain(CeEnumeration((2, 5))))
     cert = doubled_chain_cert()
     region = frozenset(ball(g, 0, 6).edges)
@@ -302,8 +305,12 @@ def test_comp_counter_agrees_with_decide_comp():
         edge_set([(3, 4, 0), (3, 4, 1)]),
         edge_set([(0, 1, 0), (0, 1, 1), (-1, 0, 0), (-1, 0, 1)]),
         edge_set([(3, 4, 0), (3, 4, 1), (-4, -3, 0)]),
+        edge_set([(5, 6, 0), (5, 6, 1), (-6, 5, 0)]),
+        edge_set([(5, 6, 0), (5, 6, 1), (-6, 5, 0), (-6, 5, 1)]),
     ]
     for e in candidates:
-        assert count(e) == decide_comp(g, e, cert), e
+        truth, _ = brute_components(g, {(x.u, x.v, x.slot) for x in e}, 30,
+                                    label_sign, quiet=10)
+        assert count(e) == truth, e
     with pytest.raises(GraphError):
         count(edge_set([(40, 41, 0)]))

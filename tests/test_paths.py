@@ -1,5 +1,7 @@
 """Path extension decisions, greedy growth, and the tree reduction."""
 
+import random
+
 import pytest
 
 from graphends.graph_core import (
@@ -34,7 +36,7 @@ from graphends.paths import (
 )
 
 from _brute import brute_components
-from _fixtures import PendantLine
+from _fixtures import CorePlusRays, PendantLine
 
 ONE_END = EndsCertificate(1)
 LINE_CERT = EndsCertificate(2, edge_set([(0, 1)]))
@@ -139,6 +141,33 @@ def test_extendable_prefix_closure():
     assert decide_extendable(g, path, cert) == TriBool.yes()
     for k in range(1, len(path)):
         assert decide_extendable(g, path[:k], cert) == TriBool.yes(), k
+
+
+@pytest.mark.parametrize("seed,k", [(seed, k) for k in (1, 2, 3) for seed in (1, 2, 3)])
+def test_extendable_against_brute_on_core_plus_rays(seed, k):
+    """Random simple paths in the core: the tip extends exactly when one of
+    its neighbours off the path keeps a surviving edge and lies in no finite
+    component of the brute oracle.  CorePlusRays is not outward growing, so
+    every answer comes from boundary_partition."""
+    g = CorePlusRays(seed, size=4, k=k)
+    assert not g.outward_growing
+    cert = EndsCertificate(k, g.ray_edges)
+    rng = random.Random(seed)
+    for _ in range(12):
+        walk = [rng.randrange(g.size)]
+        for _step in range(rng.randrange(g.size)):
+            nxt = [w for w, _m in g.neighbors(walk[-1]) if w < g.size and w not in walk]
+            if not nxt:
+                break
+            walk.append(rng.choice(nxt))
+        p = SimplePath(tuple(walk))
+        removed = {(e.u, e.v, e.slot) for e in path_removed_edges(g, p)}
+        _inf, finite = brute_components(g, removed, g.quiet + 3, g.end_label, g.quiet)
+        want = any(
+            w not in walk and any(x not in walk for x, _m in g.neighbors(w))
+            and not any(w in c for c in finite)
+            for w, _m in g.neighbors(p.tip))
+        assert decide_extendable(g, p, cert) == (TriBool.yes() if want else TriBool.no()), walk
 
 
 def test_extendable_unknown_on_tiny_fuel():

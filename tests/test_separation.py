@@ -532,6 +532,14 @@ def test_minimal_separating_subsets_requires_a_shell():
         minimal_separating_subsets(g, {edge(2, 3)}, lambda s: True)
 
 
+def test_a_loop_at_the_basepoint_is_not_a_shell():
+    """Its endpoints lie at radius 0, and shells start at radius 1."""
+    g = LoopyLine()
+    g.basepoint = -2
+    with pytest.raises(NotAShell):
+        minimal_separating_subsets(g, edge_set([(-2, -2, 0)]), lambda s: True)
+
+
 def test_minimal_subsets_on_three_ended_gadget():
     g = CycleChainWithRays(CeEnumeration((2,)), k=2)  # finite events: 3 ends
     label = make_rays_label(2, label_sign)
