@@ -20,7 +20,7 @@ from .graph_core import (
     GraphError, InvalidVertex, InvalidEdge, NotASimplePath, NotAShell,
     KindScheduleMismatch, UnsoundCertificateDetected, NoExtension,
     ArityMismatch, UnboundVariable,
-    TriBool, Unknown, Fuel, EndsCertificate,
+    Unknown, Fuel, EndsCertificate,
     GraphOracle, degree, edges_at, multiplicity, check_edge, check_edge_set,
     Ball, ball, distances_from, bounded_distance,
     finite_components, edge_induced_vertices, to_dot,

@@ -242,7 +242,7 @@ def _cmd_sep_semidecide(args) -> int:
     _header("sep-semidecide", [("graph", args.graph),
                                ("edges", fmt_edges(e)), _fuel_pair(fuel)])
     t = semidecide_not_separating(g, e, fuel)
-    if t.is_yes:
+    if t is True:
         print("NotSeparating (a stage shows at most one infinite component)")
         return 0
     print("Unknown (no stage up to %d collapsed the count; the set may "
@@ -314,9 +314,9 @@ def _cmd_path_extend(args) -> int:
     cert = _certificate(g, args, fuel)
     p = check_simple_path(g, verts)
     t = decide_extendable(g, p, cert, fuel)
-    if t.is_unknown:
+    if isinstance(t, Unknown):
         return _unknown(fuel)
-    print("Yes" if t.is_yes else "No")
+    print("Yes" if t else "No")
     return 0
 
 

@@ -91,69 +91,22 @@ class UnboundVariable(GraphError):
 
 
 # ---------------------------------------------------------------------------
-# tri-valued answers and fuel
+# the out-of-fuel answer and fuel
 # ---------------------------------------------------------------------------
-
-class TriBool:
-    """Yes / No / Unknown(fuel_spent).
-
-    Deliberately not truthy: call sites must say which of the three outcomes
-    they mean.  Unknown never contradicts Yes or No, it only reports that the
-    search budget ran out first.
-    """
-
-    __slots__ = ("kind", "fuel_spent")
-
-    def __init__(self, kind: str, fuel_spent: int = 0):
-        if kind not in ("yes", "no", "unknown"):
-            raise ValueError(kind)
-        self.kind = kind
-        self.fuel_spent = fuel_spent
-
-    @classmethod
-    def yes(cls) -> "TriBool":
-        return cls("yes")
-
-    @classmethod
-    def no(cls) -> "TriBool":
-        return cls("no")
-
-    @classmethod
-    def unknown(cls, fuel_spent: int = 0) -> "TriBool":
-        return cls("unknown", fuel_spent)
-
-    @property
-    def is_yes(self) -> bool:
-        return self.kind == "yes"
-
-    @property
-    def is_no(self) -> bool:
-        return self.kind == "no"
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.kind == "unknown"
-
-    def __bool__(self):
-        raise TypeError("TriBool is three-valued; use .is_yes / .is_no / .is_unknown")
-
-    def __eq__(self, other):
-        return isinstance(other, TriBool) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        if self.kind == "unknown":
-            return "TriBool.unknown(%d)" % self.fuel_spent
-        return "TriBool.%s()" % self.kind
-
 
 @dataclass(frozen=True)
 class Unknown:
-    """Out-of-fuel marker for operations whose definite answer is a number."""
+    """Out-of-fuel answer: the search ran out of budget before it could
+    answer definitely.  It never contradicts a definite answer.
+
+    Deliberately not truthy, so `if decide(...)` cannot read it as True:
+    test `isinstance(x, Unknown)` or compare with `is True` / `is False`.
+    """
 
     fuel_spent: int = 0
+
+    def __bool__(self):
+        raise TypeError("Unknown has no truth value; test isinstance(x, Unknown)")
 
 
 @dataclass(frozen=True)

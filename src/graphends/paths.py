@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 from .graph_core import (
     EdgeSet,
@@ -48,7 +48,6 @@ from .graph_core import (
     InvalidVertex,
     NoExtension,
     NotASimplePath,
-    TriBool,
     Unknown,
     VertexId,
     check_edge_set,
@@ -122,19 +121,20 @@ def path_removed_edges(g: GraphOracle, p: SimplePath) -> EdgeSet:
 
 
 def _escapes_outward(g: GraphOracle, removed: EdgeSet, start: VertexId,
-                     horizon: int, fuel: Fuel) -> Optional[bool]:
+                     horizon: int, fuel: Fuel) -> Union[bool, Unknown]:
     """Is start's component of G minus removed infinite?  Exact on
-    outward-growing graded oracles; None when the step budget runs dry."""
+    outward-growing graded oracles; Unknown(fuel.max_steps) when the step
+    budget runs dry or the oracle cannot grade a vertex."""
     d0 = g.base_distance(start)
     if d0 is None:
-        return None
+        return Unknown(fuel.max_steps)
     seen = {start}
     heap = [(-d0, start)]
     steps = 0
     while heap:
         steps += 1
         if steps > fuel.max_steps:
-            return None
+            return Unknown(fuel.max_steps)
         negd, v = heapq.heappop(heap)
         if -negd >= horizon:
             return True
@@ -145,48 +145,45 @@ def _escapes_outward(g: GraphOracle, removed: EdgeSet, start: VertexId,
                 continue
             dw = g.base_distance(w)
             if dw is None:
-                return None
+                return Unknown(fuel.max_steps)
             seen.add(w)
             heapq.heappush(heap, (-dw, w))
     return False
 
 
 def decide_extendable(g: GraphOracle, p, cert: EndsCertificate,
-                      fuel: Fuel = Fuel()) -> TriBool:
+                      fuel: Fuel = Fuel()) -> Union[bool, Unknown]:
     """Does the finite simple path p extend to an infinite simple path?
 
-    Yes iff some neighbour of the final vertex survives in an infinite
-    component once all edges at p's vertices are gone.
+    True iff some neighbour of the final vertex survives in an infinite
+    component once all edges at p's vertices are gone, False if none does,
+    and Unknown when the escape search or the window runs out of fuel.
     """
     p = check_simple_path(g, p)
     removed = path_removed_edges(g, p)
     on_path = set(p.vertices)
     candidates = sorted(w for w, _ in g.neighbors(p.tip) if w not in on_path)
     if not candidates:
-        return TriBool.no()
+        return False
 
     if g.outward_growing:
         dists = [g.base_distance(v) for v in p.vertices]
         if all(d is not None for d in dists):
             horizon = max(dists) + 2
-            starved = False
+            starved = None
             for w in candidates:
                 verdict = _escapes_outward(g, removed, w, horizon, fuel)
                 if verdict is True:
-                    return TriBool.yes()
-                if verdict is None:
-                    starved = True
-            if starved:
-                return TriBool.unknown(fuel.max_steps)
-            return TriBool.no()
+                    return True
+                if isinstance(verdict, Unknown):
+                    starved = verdict
+            return False if starved is None else starved
 
     bp = boundary_partition(g, removed, cert, fuel)
     if isinstance(bp, Unknown):
-        return TriBool.unknown(bp.fuel_spent)
+        return bp
     surviving = set().union(*bp.infinite_groups) if bp.infinite_groups else set()
-    if any(w in surviving for w in candidates):
-        return TriBool.yes()
-    return TriBool.no()
+    return any(w in surviving for w in candidates)
 
 
 def greedy_infinite_path(g: GraphOracle, start: VertexId,
@@ -211,9 +208,9 @@ def greedy_infinite_path(g: GraphOracle, start: VertexId,
             if w in path.vertices:
                 continue
             t = decide_extendable(g, path.extended(w), cert, fuel)
-            if t.is_unknown:
-                return Unknown(t.fuel_spent)
-            if t.is_yes:
+            if isinstance(t, Unknown):
+                return t
+            if t:
                 path = path.extended(w)
                 grew = True
                 break

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .graph_core import (
     DisjointSets,
@@ -26,7 +26,6 @@ from .graph_core import (
     GraphError,
     GraphOracle,
     NotAShell,
-    TriBool,
     Unknown,
     UnsoundCertificateDetected,
     VertexId,
@@ -128,17 +127,19 @@ def comp_approx(g: GraphOracle, e: EdgeSet, n: int) -> int:
     return len(_merge_by_overlap(balls, rims))
 
 
-def semidecide_not_separating(g: GraphOracle, e: EdgeSet, fuel: Fuel = Fuel()) -> TriBool:
-    """Yes when some stage shows at most one infinite component survives.
+def semidecide_not_separating(g: GraphOracle, e: EdgeSet,
+                              fuel: Fuel = Fuel()) -> Union[bool, Unknown]:
+    """True when some stage n <= fuel.max_radius shows at most one infinite
+    component survives, otherwise Unknown(fuel.max_radius).
 
-    This is one-sided: a separating set can never produce Yes, and No is
-    never returned (the complement is not semi-decidable in general).
+    This is one-sided: a separating set can never produce True, and False
+    is never returned (the complement is not semi-decidable in general).
     """
     e = check_edge_set(g, e)
     for n in range(fuel.max_radius + 1):
         if comp_approx(g, e, n) <= 1:
-            return TriBool.yes()
-    return TriBool.unknown(fuel.max_radius)
+            return True
+    return Unknown(fuel.max_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +236,8 @@ def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel)
     """The certified decision window, as (U, groups): a finite edge set U
     containing e and the witness, grown until G minus U has exactly
     cert.ends infinite components and no finite ones; groups holds the
-    boundary vertices of U, one group per infinite component.  None when
-    fuel runs out.
+    boundary vertices of U, one group per infinite component.
+    Unknown(fuel.max_radius) when fuel runs out.
 
     One walk out from the basepoint builds it.  The first ball(r0), r0 >= 1,
     holding every endpoint of e and the witness is split by
@@ -257,10 +258,10 @@ def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel)
         if r >= 1 and not missing:
             break
     else:
-        return None
+        return Unknown(fuel.max_radius)
     got = _stable_partition(g, frozenset(u), k, fuel)
     if got is None:
-        return None
+        return Unknown(fuel.max_radius)
     # boundary vertices of ball(r0) all lie in its last layer
     reconnect = [grp for grp in got[0] if len(grp) > 1]
     annulus = DisjointSets(layer)
@@ -272,19 +273,19 @@ def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel)
         if all(len({annulus.find(v) for v in grp}) == 1 for grp in reconnect):
             break
     else:
-        return None
+        return Unknown(fuel.max_radius)
 
     # absorb the finite debris of G minus the window
     for _attempt in range(fuel.max_radius):
         got = _stable_partition(g, frozenset(u), k, fuel)
         if got is None:
-            return None
+            return Unknown(fuel.max_radius)
         groups, finite = got
         if not finite:
             return frozenset(u), groups
         for fr in finite.values():
             u |= fr
-    return None
+    return Unknown(fuel.max_radius)
 
 
 def _check_certificate(g: GraphOracle, cert: EndsCertificate) -> None:
@@ -317,15 +318,17 @@ def comp_counter(g: GraphOracle, region, cert: EndsCertificate,
     Comp value, or Unknown when the window cannot be built within fuel.  The
     window's validity depends only on covering the region, so amortizing it
     over many candidates (e.g. a subset sweep) changes nothing about
-    soundness.
+    soundness.  With one end, or an empty region, no window is needed: every
+    candidate counts 1.  The callable validates each candidate and raises
+    GraphError for one outside the region, whichever path prepared it.
     """
     region = check_edge_set(g, region)
     _check_certificate(g, cert)
-    if cert.ends == 1 or not region:
-        return lambda e: 1
-    win = _build_window(g, region, cert, fuel)
-    if win is None:
-        return Unknown(fuel.max_radius)
+    win = None
+    if cert.ends > 1 and region:
+        win = _build_window(g, region, cert, fuel)
+        if isinstance(win, Unknown):
+            return win
 
     def count(e) -> int:
         e = check_edge_set(g, e)
@@ -333,7 +336,7 @@ def comp_counter(g: GraphOracle, region, cert: EndsCertificate,
             return 1
         if not e <= region:
             raise GraphError("candidate removal leaves the prepared region")
-        return len(_window_classes(win, e)[1])
+        return 1 if win is None else len(_window_classes(win, e)[1])
 
     return count
 
@@ -368,8 +371,8 @@ def boundary_partition(g: GraphOracle, e: EdgeSet, cert: EndsCertificate,
     if not e:
         return BoundaryPartition((), _NO_VERTICES)
     win = _build_window(g, e, cert, fuel)
-    if win is None:
-        return Unknown(fuel.max_radius)
+    if isinstance(win, Unknown):
+        return win
     sets, held = _window_classes(win, e)
     infinite: Dict[int, set] = {}
     finite = set()

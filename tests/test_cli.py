@@ -263,6 +263,10 @@ def test_path_extend_verdicts(cli):
     out, _ = cli("path-extend", "--graph", "nat-line", "--path", "0,1,2",
                  "--ends", "1")
     assert last_line(out) == "Yes"
+    # the outward escape search on the tree runs out of steps
+    out, _ = cli("path-extend", "--graph", "binary-tree", "--path", "1",
+                 "--ends", "1", "--fuel-steps", "1", code=2)
+    assert last_line(out).startswith("Unknown (")
 
 
 def test_euler_check_refutation_carries_a_witness(cli):

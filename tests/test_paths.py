@@ -10,7 +10,6 @@ from graphends.graph_core import (
     InvalidVertex,
     NoExtension,
     NotASimplePath,
-    TriBool,
     Unknown,
     edge,
     edge_set,
@@ -78,39 +77,39 @@ def test_path_removed_edges_keeps_all_slots():
 # ---------------------------------------------------------------------------
 
 def test_extendable_nat_line_forward():
-    assert decide_extendable(NatLine(), [0, 1, 2], ONE_END) == TriBool.yes()
+    assert decide_extendable(NatLine(), [0, 1, 2], ONE_END) is True
 
 
 def test_extendable_dead_end_at_pendant():
     g = PendantLine(at=5)
-    assert decide_extendable(g, [4, 5, -1], ONE_END) == TriBool.no()
+    assert decide_extendable(g, [4, 5, -1], ONE_END) is False
 
 
 def test_extendable_into_finite_stick():
     # stick below 0 is cut short by the halt; its tip has nowhere to go
     g = LinesWithSticks(Halting(2))
-    assert decide_extendable(g, [0, -1, -2], LINE_CERT) == TriBool.no()
+    assert decide_extendable(g, [0, -1, -2], LINE_CERT) is False
     # ... but with no halt the downward walk runs forever
     g2 = LinesWithSticks(Halting(None))
-    assert decide_extendable(g2, [0, -1, -2], LINE_CERT) == TriBool.yes()
+    assert decide_extendable(g2, [0, -1, -2], LINE_CERT) is True
 
 
 def test_extendable_sees_past_the_turn():
     # walking 3,2,1,0 leaves only the stick side open, and it is finite
     g = LinesWithSticks(Halting(2))
-    assert decide_extendable(g, [3, 2, 1, 0], LINE_CERT) == TriBool.no()
+    assert decide_extendable(g, [3, 2, 1, 0], LINE_CERT) is False
 
 
 def test_extendable_nat_line_downhill_is_no():
     # on the half line, walking toward 0 corners itself
     g = NatLine()
-    assert decide_extendable(g, [3, 2, 1], ONE_END) == TriBool.no()
-    assert decide_extendable(g, [3, 2, 1, 0], ONE_END) == TriBool.no()
+    assert decide_extendable(g, [3, 2, 1], ONE_END) is False
+    assert decide_extendable(g, [3, 2, 1, 0], ONE_END) is False
 
 
 def test_extendable_single_vertex_paths():
-    assert decide_extendable(NatLine(), [0], ONE_END) == TriBool.yes()
-    assert decide_extendable(IntLine(), [0], LINE_CERT) == TriBool.yes()
+    assert decide_extendable(NatLine(), [0], ONE_END) is True
+    assert decide_extendable(IntLine(), [0], LINE_CERT) is True
 
 
 def test_fast_and_slow_routes_agree_on_the_line():
@@ -121,7 +120,7 @@ def test_fast_and_slow_routes_agree_on_the_line():
     for path in [(0,), (0, 1), (0, -1, -2), (2, 1, 0, -1)]:
         a = decide_extendable(fast, path, LINE_CERT)
         b = decide_extendable(slow, path, LINE_CERT)
-        assert a == b == TriBool.yes(), path
+        assert a is True and b is True, path
 
 
 def test_fast_and_slow_routes_agree_on_pendant_dead_end():
@@ -131,16 +130,16 @@ def test_fast_and_slow_routes_agree_on_pendant_dead_end():
         pass
 
     g = Fastish(at=3)
-    assert decide_extendable(g, [2, 3, -1], ONE_END) == TriBool.no()
+    assert decide_extendable(g, [2, 3, -1], ONE_END) is False
 
 
 def test_extendable_prefix_closure():
     g = CycleChain(CeEnumeration((2, 5)))
     cert = EndsCertificate(2, edge_set([(7, 8), (-8, -7)]))
     path = [0, -1, -2, 2, 3]
-    assert decide_extendable(g, path, cert) == TriBool.yes()
+    assert decide_extendable(g, path, cert) is True
     for k in range(1, len(path)):
-        assert decide_extendable(g, path[:k], cert) == TriBool.yes(), k
+        assert decide_extendable(g, path[:k], cert) is True, k
 
 
 @pytest.mark.parametrize("seed,k", [(seed, k) for k in (1, 2, 3) for seed in (1, 2, 3)])
@@ -167,14 +166,15 @@ def test_extendable_against_brute_on_core_plus_rays(seed, k):
             w not in walk and any(x not in walk for x, _m in g.neighbors(w))
             and not any(w in c for c in finite)
             for w, _m in g.neighbors(p.tip))
-        assert decide_extendable(g, p, cert) == (TriBool.yes() if want else TriBool.no()), walk
+        assert decide_extendable(g, p, cert) is want, walk
 
 
 def test_extendable_unknown_on_tiny_fuel():
     g = CycleChain(CeEnumeration((2, 5)))
     cert = EndsCertificate(2, edge_set([(7, 8), (-8, -7)]))
-    got = decide_extendable(g, [0], cert, Fuel(max_radius=3))
-    assert got.is_unknown
+    assert decide_extendable(g, [0], cert, Fuel(max_radius=3)) == Unknown(3)
+    # the outward escape search runs out of steps, not radius
+    assert decide_extendable(BinaryTree(), [1], ONE_END, Fuel(max_steps=1)) == Unknown(1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_greedy_on_one_ended_cycle_chain():
     assert got.edge_count == 8
     check_simple_path(g, got)
     for k in range(1, len(got.vertices) + 1):
-        assert decide_extendable(g, got.vertices[:k], ONE_END) == TriBool.yes()
+        assert decide_extendable(g, got.vertices[:k], ONE_END) is True
 
 
 def test_greedy_on_lambda():
@@ -216,7 +216,7 @@ def test_greedy_on_lambda():
     # spot-check extendability along the way; the full sweep is the
     # acceptance run's job
     for k in (1, 10, 25, 51):
-        assert decide_extendable(g, got.vertices[:k], ONE_END) == TriBool.yes()
+        assert decide_extendable(g, got.vertices[:k], ONE_END) is True
 
 
 def test_greedy_propagates_unknown():
@@ -231,7 +231,7 @@ def test_greedy_no_extension_when_decider_rejects_everything(monkeypatch):
     # making the decider reject every candidate
     import graphends.paths as paths_mod
     monkeypatch.setattr(paths_mod, "decide_extendable",
-                        lambda *a, **k: TriBool.no())
+                        lambda *a, **k: False)
     with pytest.raises(NoExtension):
         greedy_infinite_path(NatLine(), 0, ONE_END, 3)
 

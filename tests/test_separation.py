@@ -4,8 +4,8 @@ from collections import deque
 import pytest
 
 from graphends import (
-    ball, edge, edge_set, edge_induced_vertices, Fuel, Unknown, TriBool, EndsCertificate,
-    NotAShell, UnsoundCertificateDetected,
+    ball, edge, edge_set, edge_induced_vertices, Fuel, Unknown, EndsCertificate,
+    GraphError, InvalidEdge, NotAShell, UnsoundCertificateDetected,
     NatLine, IntLine, CycleChain, CycleChainWithRays, LinesWithSticks,
     Delta2TwoEnded, CeEnumeration, Halting, LimitApprox,
     BinaryTree, ProductGraph, GADGET_KINDS, build_gadget, parse_graph_spec,
@@ -296,17 +296,17 @@ def test_stable_partition_against_reference(name):
 # ---------------------------------------------------------------------------
 
 def test_semidecide_nat_line_cut_is_not_separating():
-    assert semidecide_not_separating(NatLine(), {edge(3, 4)}) == TriBool.yes()
+    assert semidecide_not_separating(NatLine(), {edge(3, 4)}) is True
 
 
 def test_semidecide_stays_unknown_on_separating_cut():
     got = semidecide_not_separating(IntLine(), {edge(0, 1)}, Fuel(max_radius=12))
-    assert got.is_unknown and got.fuel_spent == 12
+    assert got == Unknown(12)
 
 
 def test_semidecide_sticks():
     g = LinesWithSticks(Halting(1))
-    assert semidecide_not_separating(g, {edge(0, 1)}) == TriBool.yes()
+    assert semidecide_not_separating(g, {edge(0, 1)}) is True
 
 
 def test_semidecide_one_sided_on_random_cuts():
@@ -323,9 +323,9 @@ def test_semidecide_one_sided_on_random_cuts():
         truth, _ = brute_components(g, as_triples(picks), 30, label, quiet=12)
         verdict = semidecide_not_separating(g, picks, Fuel(max_radius=20))
         if truth >= 2:
-            assert not verdict.is_yes
+            assert isinstance(verdict, Unknown)
         else:
-            assert verdict.is_yes
+            assert verdict is True
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +350,21 @@ def test_a_small_radius_budget_is_unknown_to_every_window_decider():
     assert decide_comp(g, region, cert, fuel) == Unknown(3)
     assert boundary_partition(g, region, cert, fuel) == Unknown(3)
     assert comp_counter(g, region, cert, Fuel(max_radius=8))(region) == 2
+
+
+def test_comp_counter_without_a_window_still_checks_each_candidate():
+    # one end, or an empty region, needs no window; the counter still
+    # validates each candidate and refuses one outside the region
+    g = IntLine()
+    for region, cert in [({edge(0, 1)}, EndsCertificate(1)),
+                         (set(), EndsCertificate(2, {edge(0, 1)}))]:
+        count = comp_counter(g, region, cert)
+        with pytest.raises(InvalidEdge):
+            count({edge(40, 42)})
+        with pytest.raises(GraphError, match="leaves the prepared region"):
+            count({edge(40, 41)})
+        assert count(region) == 1
+        assert count(frozenset()) == 1
 
 
 def test_decide_comp_one_ended_shortcut():
