@@ -5,8 +5,12 @@
 # output.
 #
 # Run: sh demos/cli_tour.sh
+# From a source checkout without the installed `graphends` command, the tour
+# runs the module instead: PYTHONPATH=src sh demos/cli_tour.sh
 # The tour stops at the first exit code other than 0 or 2.
 set -e
+
+command -v graphends > /dev/null || graphends() { python3 -m graphends.cli "$@"; }
 
 run() {
     echo

@@ -251,22 +251,38 @@ def ball(g: GraphOracle, center: VertexId, radius: int) -> Ball:
     return Ball(center, radius, verts, frozenset(es), dist)
 
 
-def severed(removed: EdgeSet, v: VertexId, w: VertexId, m: int) -> bool:
-    """Whether `removed` holds all m parallel copies of the edge v-w."""
-    return all(edge(v, w, s) in removed for s in range(m))
+CutIndex = Dict[VertexId, Dict[VertexId, int]]
 
 
-def bfs_layers(g: GraphOracle, source: VertexId, removed: EdgeSet = frozenset()):
-    """The vertices at distance 0, 1, 2, ... from `source` in G minus
-    `removed`, one list per layer, each expanded only when asked for."""
+def cut_index(removed: EdgeSet) -> CutIndex:
+    """The removed-edge index a search of G minus `removed` reads, built
+    without the oracle: v -> {w: c} at both ends of each removed edge, where
+    slots 0..c-1 of the pair v-w are all in `removed`.  A pair of
+    multiplicity m is cut, every copy gone, exactly when m <= c."""
+    cut: CutIndex = {}
+    for u, v, _s in removed:
+        c = 0
+        while u <= v and (u, v, c) in removed:  # edges are named with u <= v
+            c += 1
+        if c:
+            cut.setdefault(u, {})[v] = c
+            cut.setdefault(v, {})[u] = c
+    return cut
+
+
+def bfs_layers(g: GraphOracle, source: VertexId, cut: CutIndex):
+    """The vertices at distance 0, 1, 2, ... from `source` in G minus the
+    edges indexed by `cut` (see `cut_index`; {} removes none), one list per
+    layer, each expanded only when asked for."""
     seen = {source}
     layer = [source]
     while layer:
         yield layer
         nxt = []
         for v in layer:
+            gone = cut.get(v)
             for w, m in g.neighbors(v):
-                if w in seen or (removed and severed(removed, v, w, m)):
+                if w in seen or (gone and m <= gone.get(w, 0)):
                     continue
                 seen.add(w)
                 nxt.append(w)
@@ -278,7 +294,7 @@ def distances_from(g: GraphOracle, source: VertexId, max_radius: int,
     """BFS distances within max_radius, optionally not using avoid_edges."""
     if not g.contains(source):
         raise InvalidVertex(source)
-    layers = islice(bfs_layers(g, source, avoid_edges), max(max_radius, 0) + 1)
+    layers = islice(bfs_layers(g, source, cut_index(avoid_edges)), max(max_radius, 0) + 1)
     return {v: d for d, layer in enumerate(layers) for v in layer}
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple, Union
 
 from .graph_core import (
+    CutIndex,
     EdgeSet,
     EndsCertificate,
     Fuel,
@@ -51,10 +52,10 @@ from .graph_core import (
     Unknown,
     VertexId,
     check_edge_set,
+    cut_index,
     distances_from,
     edge_induced_vertices,
     edges_at,
-    severed,
 )
 from .separation import boundary_partition
 
@@ -120,11 +121,11 @@ def path_removed_edges(g: GraphOracle, p: SimplePath) -> EdgeSet:
     return frozenset(out)
 
 
-def _escapes_outward(g: GraphOracle, removed: EdgeSet, start: VertexId,
+def _escapes_outward(g: GraphOracle, cut: CutIndex, start: VertexId,
                      horizon: int, fuel: Fuel) -> Union[bool, Unknown]:
-    """Is start's component of G minus removed infinite?  Exact on
-    outward-growing graded oracles; Unknown(fuel.max_steps) when the step
-    budget runs dry or the oracle cannot grade a vertex."""
+    """Is start's component of G minus the edges indexed by `cut` infinite?
+    Exact on outward-growing graded oracles; Unknown(fuel.max_steps) when
+    the step budget runs dry or the oracle cannot grade a vertex."""
     d0 = g.base_distance(start)
     if d0 is None:
         return Unknown(fuel.max_steps)
@@ -138,10 +139,9 @@ def _escapes_outward(g: GraphOracle, removed: EdgeSet, start: VertexId,
         negd, v = heapq.heappop(heap)
         if -negd >= horizon:
             return True
+        gone = cut.get(v, {})
         for w, m in g.neighbors(v):
-            if w in seen:
-                continue
-            if severed(removed, v, w, m):
+            if w in seen or m <= gone.get(w, 0):
                 continue
             dw = g.base_distance(w)
             if dw is None:
@@ -170,9 +170,10 @@ def decide_extendable(g: GraphOracle, p, cert: EndsCertificate,
         dists = [g.base_distance(v) for v in p.vertices]
         if all(d is not None for d in dists):
             horizon = max(dists) + 2
+            cut = cut_index(removed)
             starved = None
             for w in candidates:
-                verdict = _escapes_outward(g, removed, w, horizon, fuel)
+                verdict = _escapes_outward(g, cut, w, horizon, fuel)
                 if verdict is True:
                     return True
                 if isinstance(verdict, Unknown):
@@ -249,13 +250,13 @@ def _tree_walk(g: GraphOracle, a: VertexId, b: VertexId,
                      "tree or budget too small" % (a, b))
 
 
-def _tree_path_avoids(g: GraphOracle, a: VertexId, b: VertexId, e: EdgeSet,
+def _tree_path_avoids(g: GraphOracle, a: VertexId, b: VertexId, cut: CutIndex,
                       fuel: Fuel) -> bool:
-    """Same component of tree-minus-e?  The unique path must dodge e."""
+    """Same component of tree-minus-cut?  The unique path must dodge it."""
     walk = _tree_walk(g, a, b, fuel)
     for x, y in zip(walk, walk[1:]):
         m = next(mm for w, mm in g.neighbors(x) if w == y)
-        if severed(e, x, y, m):
+        if m <= cut.get(x, {}).get(y, 0):
             return False
     return True
 
@@ -275,13 +276,14 @@ def tree_sep_from_path(g: GraphOracle, e,
     if not e:
         return False
     endpoints = sorted(edge_induced_vertices(e))
+    cut = cut_index(e)
 
     # group endpoints into components of tree-minus-e
     comp_reps: List[VertexId] = []
     comp_members: List[List[VertexId]] = []
     for v in endpoints:
         for i, rep in enumerate(comp_reps):
-            if _tree_path_avoids(g, rep, v, e, fuel):
+            if _tree_path_avoids(g, rep, v, cut, fuel):
                 comp_members[i].append(v)
                 break
         else:

@@ -19,6 +19,7 @@ from itertools import chain, combinations, islice
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .graph_core import (
+    CutIndex,
     DisjointSets,
     EdgeSet,
     EndsCertificate,
@@ -32,11 +33,11 @@ from .graph_core import (
     ball,
     bfs_layers,
     check_edge_set,
+    cut_index,
     distances_from,
     edge,
     edge_induced_vertices,
     edges_at,
-    severed,
 )
 
 
@@ -73,12 +74,15 @@ def reach_edges(g: GraphOracle, removed: EdgeSet, v: VertexId, n: int) -> EdgeSe
     return frozenset(out)
 
 
-def _grows(g: GraphOracle, removed: EdgeSet, closer, rim) -> bool:
-    """Whether a surviving edge leaves BFS layer `rim` outward or sideways
-    (a loop included), `closer` holding every earlier layer: exactly when
-    the reach one stage past `rim` is larger."""
-    return any(w not in closer and not severed(removed, x, w, m)
-               for x in rim for w, m in g.neighbors(x))
+def _grows(g: GraphOracle, cut: CutIndex, closer, rim) -> bool:
+    """Whether an edge not cut by `cut` leaves BFS layer `rim` outward or
+    sideways (a loop included), `closer` holding every earlier layer:
+    exactly when the reach one stage past `rim` is larger."""
+    for x in rim:
+        gone = cut.get(x, {})
+        if any(w not in closer and m > gone.get(w, 0) for w, m in g.neighbors(x)):
+            return True
+    return False
 
 
 def _merge_by_overlap(balls: Dict, rims: Dict) -> List[FrozenSet]:
@@ -117,12 +121,13 @@ def comp_approx(g: GraphOracle, e: EdgeSet, n: int) -> int:
     if not e or n < 0:
         return 0
     balls, rims = {}, {}
+    cut = cut_index(e)
     for v in boundary_vertices(g, e):
-        layers = list(islice(bfs_layers(g, v, e), n + 1))
+        layers = list(islice(bfs_layers(g, v, cut), n + 1))
         if len(layers) <= n:
             continue  # v's component ends before layer n: its reach is complete
         closer = set(chain.from_iterable(layers[:n]))
-        if _grows(g, e, closer, layers[n]):
+        if _grows(g, cut, closer, layers[n]):
             balls[v], rims[v] = closer, layers[n]
     return len(_merge_by_overlap(balls, rims))
 
@@ -167,14 +172,15 @@ def _stable_partition(g: GraphOracle, wp: EdgeSet, k: int, fuel: Fuel):
     maps each finite-side boundary vertex to its component's full edge set.
     """
     bnd = boundary_vertices(g, wp)
-    searches = {v: bfs_layers(g, v, wp) for v in bnd}
+    cut = cut_index(wp)
+    searches = {v: bfs_layers(g, v, cut) for v in bnd}
     balls = {v: set(next(searches[v])) for v in bnd}   # layers 0..n-1
     rims = {v: next(searches[v], []) for v in bnd}     # layer n
     for _n in range(1, fuel.max_radius + 1):
         active_balls, active_rims = {}, {}
         for v in bnd:
             nxt = next(searches[v], [])
-            if _grows(g, wp, balls[v], rims[v]):
+            if _grows(g, cut, balls[v], rims[v]):
                 active_balls[v], active_rims[v] = balls[v], nxt
             balls[v].update(rims[v])
             rims[v] = nxt
@@ -197,7 +203,7 @@ def _cover_radius(g: GraphOracle, es: EdgeSet, fuel: Fuel) -> Optional[int]:
     if not es:
         return 1
     missing = set(edge_induced_vertices(es))
-    for d, layer in enumerate(islice(bfs_layers(g, g.basepoint), fuel.max_radius + 1)):
+    for d, layer in enumerate(islice(bfs_layers(g, g.basepoint, {}), fuel.max_radius + 1)):
         missing.difference_update(layer)
         if not missing:
             return max(d, 1)
@@ -224,7 +230,7 @@ def _walk_ball(g: GraphOracle, max_radius: int):
     """Grow ball(g, basepoint, r) for r = 0, 1, ..., max_radius on one BFS:
     yields (r, layer r, the edges of ball(r) not in ball(r-1))."""
     closer = set()  # the vertices of layers 0..r-1
-    for r, layer in enumerate(islice(bfs_layers(g, g.basepoint), max_radius + 1)):
+    for r, layer in enumerate(islice(bfs_layers(g, g.basepoint, {}), max_radius + 1)):
         here = set(layer)
         new = {edge(v, w, s) for v in layer for w, m in g.neighbors(v)
                if w in closer or (w in here and w >= v) for s in range(m)}
@@ -241,12 +247,10 @@ def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel)
 
     One walk out from the basepoint builds it.  The first ball(r0), r0 >= 1,
     holding every endpoint of e and the witness is split by
-    `_stable_partition`.  Each later layer's edges join their endpoints in
-    one union-find, and the walk stops at the first r1 at which every group
-    of that split lies in one class: each same-component pair of boundary
-    vertices of ball(r0) reconnects inside the annulus ball(r1) minus
-    ball(r0), and r1 > r0 puts every edge at an endpoint of e inside the
-    window.  Finally the finite debris of G minus ball(r1) is absorbed.
+    `_stable_partition`, which checks the certificate, and one more layer
+    puts every edge at an endpoint of e inside the window.  Finally the
+    finite debris of G minus ball(r0 + 1) is absorbed.  Boundary vertices of
+    one component need not reconnect inside U: `_window_classes` joins them.
     """
     k = cert.ends
     missing = set(edge_induced_vertices(e | cert.witness))
@@ -259,21 +263,10 @@ def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel)
             break
     else:
         return Unknown(fuel.max_radius)
-    got = _stable_partition(g, frozenset(u), k, fuel)
-    if got is None:
+    if (_stable_partition(g, frozenset(u), k, fuel) is None
+            or (outer := next(walk, None)) is None):
         return Unknown(fuel.max_radius)
-    # boundary vertices of ball(r0) all lie in its last layer
-    reconnect = [grp for grp in got[0] if len(grp) > 1]
-    annulus = DisjointSets(layer)
-    for _r, layer, new in walk:
-        annulus.parent.update(zip(layer, layer))  # each new vertex a class of its own
-        for er in new:
-            annulus.union(er.u, er.v)
-        u |= new
-        if all(len({annulus.find(v) for v in grp}) == 1 for grp in reconnect):
-            break
-    else:
-        return Unknown(fuel.max_radius)
+    u |= outer[2]
 
     # absorb the finite debris of G minus the window
     for _attempt in range(fuel.max_radius):
@@ -461,6 +454,7 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
         return Unknown(fuel.max_radius)
 
     sets = DisjointSets(reps)
+    cut = cut_index(e)
     known = {u: {u} for u in reps}      # vertices known to sit in u's component
     frontier = {u: {u} for u in reps}
     for _depth in range(1, fuel.max_radius + 1):
@@ -473,8 +467,9 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
         for rt in roots:
             new = set()
             for v in frontier[rt]:
+                gone = cut.get(v, {})
                 for w, m in g.neighbors(v):
-                    if severed(e, v, w, m):
+                    if m <= gone.get(w, 0):
                         continue  # every parallel copy removed
                     if w in owner:
                         if owner[w] != rt:

@@ -1,13 +1,14 @@
 import random
 from collections import deque
+from itertools import islice
 
 import pytest
 
 from graphends import (
     ball, edge, edge_set, edge_induced_vertices, Fuel, Unknown, EndsCertificate,
     GraphError, InvalidEdge, NotAShell, UnsoundCertificateDetected,
-    NatLine, IntLine, CycleChain, CycleChainWithRays, LinesWithSticks,
-    Delta2TwoEnded, CeEnumeration, Halting, LimitApprox,
+    NatLine, IntLine, CycleChain, CycleChainWithRays, LinesWithSticks, Doubled,
+    Delta2TwoEnded, CeEnumeration, Halting, LimitApprox, distances_from,
     BinaryTree, ProductGraph, GADGET_KINDS, build_gadget, parse_graph_spec,
 )
 from graphends.separation import (
@@ -16,8 +17,9 @@ from graphends.separation import (
     minimal_separating_subsets, ends_from_sepmax, sepmax_witness_from_ends,
     shell_edges, BoundaryPartition,
 )
+from graphends.graph_core import bfs_layers, cut_index
 from _brute import brute_components, label_sign, label_one_end, make_rays_label
-from _fixtures import CorePlusRays, PendantLine, LollipopLine, LoopyLine
+from _fixtures import CorePlusRays, PendantLine, LollipopLine, LoopyLine, TwoEndLineWithChord
 
 
 def as_triples(es):
@@ -214,6 +216,48 @@ def test_cover_radius_of_a_loop_at_the_basepoint_is_one():
 
 
 # ---------------------------------------------------------------------------
+# the removed-edge index against a copy-by-copy reference
+# ---------------------------------------------------------------------------
+
+CUT_GRAPHS = {name: make for name, (make, _st) in STOCK.items()}
+CUT_GRAPHS.update({"core-plus-rays-%d-%d" % (seed, k): (
+    lambda seed=seed, k=k: CorePlusRays(seed, size=4, k=k)) for seed, k in CORES})
+CUT_GRAPHS.update({
+    "doubled-core-plus-rays": lambda: Doubled(CorePlusRays(2, size=4, k=2)),
+    "delta2-odd": lambda: Delta2TwoEnded(LimitApprox((1, 2, 4))),
+})
+
+
+def _cut_cases(name, g):
+    """The seeded removals, and at each parallel pair or loop near the
+    basepoint: its first copy, its last copy and every copy; then, at the
+    first pair, a slot past its multiplicity alone and with every copy."""
+    near = _bfs(g, g.basepoint, 3)
+    pairs = sorted({(min(v, w), max(v, w)): m for v in near
+                    for w, m in g.neighbors(v) if w in near}.items())
+    cases = _removals(name, g)
+    for (u, v), m in pairs:
+        if m > 1 or u == v:
+            cases += [frozenset({(u, v, 0)}), frozenset({(u, v, m - 1)}),
+                      frozenset((u, v, s) for s in range(m))]
+    (u, v), m = pairs[0]
+    return cases + [frozenset({(u, v, m)}), frozenset((u, v, s) for s in range(m + 1))]
+
+
+@pytest.mark.parametrize("name", sorted(CUT_GRAPHS))
+def test_bfs_layers_against_copy_by_copy_reference(name):
+    g = CUT_GRAPHS[name]()
+    depth = 4 if name in ("binary-tree", "lambda") else 6
+    for removed in _cut_cases(name, g):
+        cut = cut_index(edge_set(removed))
+        for v in sorted({x for u, w, _s in removed for x in (u, w)}):
+            want = _bfs(g, v, depth, removed)
+            layers = [[x for x, d in want.items() if d == i] for i in range(max(want.values()) + 1)]
+            assert list(islice(bfs_layers(g, v, cut), depth + 1)) == layers, (sorted(removed), v)
+            assert distances_from(g, v, depth, avoid_edges=removed) == want, (sorted(removed), v)
+
+
+# ---------------------------------------------------------------------------
 # _stable_partition against a test-local reference
 # ---------------------------------------------------------------------------
 
@@ -365,6 +409,20 @@ def test_comp_counter_without_a_window_still_checks_each_candidate():
             count({edge(40, 41)})
         assert count(region) == 1
         assert count(frozenset()) == 1
+
+
+def test_the_window_answers_before_its_groups_reconnect():
+    # Seen from basepoint -4, ball(2) holds e and the witness, and its rim
+    # vertices -2 and 3 lie in one infinite component but meet again, through
+    # 0 and 1, only in ball(4).  Joining each group's members gives the count
+    # at radius 3, before they reconnect.
+    g = TwoEndLineWithChord()
+    g.basepoint = -4
+    e, cert = {edge(-6, -5)}, EndsCertificate(2, {edge(-4, -3)})
+    truth, _ = brute_components(TwoEndLineWithChord(), as_triples(edge_set(e)), 30,
+                                label_sign, quiet=8)
+    assert decide_comp(g, e, cert, Fuel(max_radius=3)) == truth == 2
+    assert decide_comp(g, e, cert, Fuel(max_radius=2)) == Unknown(2)
 
 
 def test_decide_comp_one_ended_shortcut():
@@ -594,6 +652,20 @@ def test_ends_from_sepmax_rays():
     g = CycleChainWithRays(CeEnumeration(every_stage=True), k=3)
     label = make_rays_label(3, lambda v: "chain")
     assert ends_from_sepmax(g, sepmax_oracle_for(g, label, 3, 12)) == 3
+
+
+def test_ends_from_sepmax_merges_representatives_of_one_component():
+    # On the two-ended ladder IntLine x K2, the first maximally separating
+    # shell (radius 2) meets each side at two vertices, which meet again
+    # one rung further out and must merge into one representative.
+    ladder = lambda: ProductGraph(IntLine(), BinaryTree(lambda v: v <= 2))
+    g = ladder()
+    label = lambda v: label_sign(g.unpack(v)[0])
+    shell, dist = shell_edges(g, 2), ball(g, g.basepoint, 2).distances
+    assert brute_oracle(ladder(), label, quiet=6)(shell) == 2
+    sides = [g.unpack(v)[0] > 0 for v in edge_induced_vertices(shell) if dist[v] == 2]
+    assert sorted(sides) == [False, False, True, True]
+    assert ends_from_sepmax(g, sepmax_oracle_for(ladder(), label, 2, 6), Fuel(max_radius=8)) == 2
 
 
 def test_sepmax_witness_from_ends():
