@@ -35,7 +35,6 @@ from .graph_core import (
     check_edge_set,
     cut_index,
     distances_from,
-    edge,
     edge_induced_vertices,
     edges_at,
 )
@@ -46,12 +45,10 @@ from .graph_core import (
 # ---------------------------------------------------------------------------
 
 def boundary_vertices(g: GraphOracle, e: EdgeSet) -> List[VertexId]:
-    """Endpoints of e that keep at least one surviving edge."""
-    out = []
-    for v in sorted(edge_induced_vertices(e)):
-        if any(x not in e for x in edges_at(g, v)):
-            out.append(v)
-    return out
+    """Endpoints of e that keep a surviving edge: a pair not cut by e."""
+    cut = cut_index(e)
+    return [v for v in sorted(edge_induced_vertices(e))
+            if any(m > cut.get(v, {}).get(w, 0) for w, m in g.neighbors(v))]
 
 
 def reach_edges(g: GraphOracle, removed: EdgeSet, v: VertexId, n: int) -> EdgeSet:
@@ -162,11 +159,11 @@ def _stable_partition(g: GraphOracle, wp: EdgeSet, k: int, fuel: Fuel):
     the infinite components' boundary vertices.  Seeing fewer than k groups
     is impossible under a sound certificate.
 
-    This is the stage machine of comp_approx at stage n+1 for n = 1, 2, ...,
-    run on one BFS per boundary vertex that gains a layer per step: a vertex
-    is active when its layer n grows (reach n+1 != reach n), and active
-    vertices join when their radius-n balls overlap or one's layer n+1 meets
-    another's ball (their reach sets at n+1 share an edge).
+    At n = 1, 2, ... it takes the carriers of stage n, grouped by their
+    reach at n+1.  One BFS per boundary vertex gains a layer per step: a
+    vertex is active when its layer n grows (reach n+1 != reach n), and
+    active vertices join when their radius-n balls overlap or one's layer
+    n+1 meets another's ball (their reach sets at n+1 share an edge).
 
     Returns (groups, finite_reach) or None when fuel runs out; finite_reach
     maps each finite-side boundary vertex to its component's full edge set.
@@ -226,59 +223,40 @@ class BoundaryPartition:
 _NO_VERTICES: FrozenSet[VertexId] = frozenset()  # every empty finite group
 
 
-def _walk_ball(g: GraphOracle, max_radius: int):
-    """Grow ball(g, basepoint, r) for r = 0, 1, ..., max_radius on one BFS:
-    yields (r, layer r, the edges of ball(r) not in ball(r-1))."""
-    closer = set()  # the vertices of layers 0..r-1
-    for r, layer in enumerate(islice(bfs_layers(g, g.basepoint, {}), max_radius + 1)):
-        here = set(layer)
-        new = {edge(v, w, s) for v in layer for w, m in g.neighbors(v)
-               if w in closer or (w in here and w >= v) for s in range(m)}
-        yield r, layer, new
-        closer |= here
-
-
 def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel):
     """The certified decision window, as (U, groups): a finite edge set U
-    containing e and the witness, grown until G minus U has exactly
-    cert.ends infinite components and no finite ones; groups holds the
-    boundary vertices of U, one group per infinite component.
+    containing e and the witness such that G minus U has exactly cert.ends
+    infinite components and no finite ones; groups holds the boundary
+    vertices of U, one group per infinite component.
     Unknown(fuel.max_radius) when fuel runs out.
 
-    One walk out from the basepoint builds it.  The first ball(r0), r0 >= 1,
-    holding every endpoint of e and the witness is split by
-    `_stable_partition`, which checks the certificate, and one more layer
-    puts every edge at an endpoint of e inside the window.  Finally the
-    finite debris of G minus ball(r0 + 1) is absorbed.  Boundary vertices of
-    one component need not reconnect inside U: `_window_classes` joins them.
+    r0 >= 1 is the least radius whose ball holds every endpoint of e and
+    the witness; splitting ball(r0) checks the certificate.  W = ball(r0+1)
+    holds every edge at an endpoint of e; it is split once, and U is W plus
+    the finite reaches of that split.
+
+    One split is a fixed point.  Say it stops at stage n with k groups.
+    An inactive boundary vertex has stopped growing, so its reach is its
+    whole finite component, and absorbing it leaves the infinite components
+    of G minus W as they were.  The boundary vertices of U are the active
+    ones, whose searches in G minus U run layer for layer as in G minus W;
+    their group count only falls as the stage grows and is k at n, so a
+    second split stops by n with the same groups and no finite reach.
+    Boundary vertices of one component need not reconnect inside U:
+    `_window_classes` joins them.
     """
     k = cert.ends
-    missing = set(edge_induced_vertices(e | cert.witness))
-    walk = _walk_ball(g, fuel.max_radius)
-    u = set()
-    for r, layer, new in walk:
-        u |= new
-        missing.difference_update(layer)
-        if r >= 1 and not missing:
-            break
-    else:
+    r0 = _cover_radius(g, e | cert.witness, fuel)
+    if (r0 is None
+            or _stable_partition(g, ball(g, g.basepoint, r0).edges, k, fuel) is None
+            or r0 + 1 > fuel.max_radius):
         return Unknown(fuel.max_radius)
-    if (_stable_partition(g, frozenset(u), k, fuel) is None
-            or (outer := next(walk, None)) is None):
+    w = ball(g, g.basepoint, r0 + 1).edges
+    got = _stable_partition(g, w, k, fuel)
+    if got is None:
         return Unknown(fuel.max_radius)
-    u |= outer[2]
-
-    # absorb the finite debris of G minus the window
-    for _attempt in range(fuel.max_radius):
-        got = _stable_partition(g, frozenset(u), k, fuel)
-        if got is None:
-            return Unknown(fuel.max_radius)
-        groups, finite = got
-        if not finite:
-            return frozenset(u), groups
-        for fr in finite.values():
-            u |= fr
-    return Unknown(fuel.max_radius)
+    groups, finite = got
+    return w.union(*finite.values()), groups
 
 
 def _check_certificate(g: GraphOracle, cert: EndsCertificate) -> None:
@@ -445,11 +423,8 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
 
     mins = _minimal_subsets(e, sepmax_oracle)
     dist = ball(g, g.basepoint, radius + 1).distances
-    reps = []
-    for u in sorted(edge_induced_vertices(e)):
-        if dist[u] == radius and any(x not in e for x in edges_at(g, u)):
-            if any(any(u in (er.u, er.v) for er in m) for m in mins):
-                reps.append(u)
+    reps = [u for u in boundary_vertices(g, e) if dist[u] == radius
+            and any(any(u in (er.u, er.v) for er in m) for m in mins)]
     if not reps:
         return Unknown(fuel.max_radius)
 

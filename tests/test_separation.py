@@ -12,8 +12,8 @@ from graphends import (
     BinaryTree, ProductGraph, GADGET_KINDS, build_gadget, parse_graph_spec,
 )
 from graphends.separation import (
-    _cover_radius, _stable_partition, comp_approx, comp_counter, decide_comp, boundary_partition,
-    semidecide_not_separating,
+    _build_window, _cover_radius, _stable_partition, boundary_vertices, comp_approx,
+    comp_counter, decide_comp, boundary_partition, semidecide_not_separating,
     minimal_separating_subsets, ends_from_sepmax, sepmax_witness_from_ends,
     shell_edges, BoundaryPartition,
 )
@@ -255,6 +255,9 @@ def test_bfs_layers_against_copy_by_copy_reference(name):
             layers = [[x for x, d in want.items() if d == i] for i in range(max(want.values()) + 1)]
             assert list(islice(bfs_layers(g, v, cut), depth + 1)) == layers, (sorted(removed), v)
             assert distances_from(g, v, depth, avoid_edges=removed) == want, (sorted(removed), v)
+        keep = sorted({x for u, w, _s in removed for x in (u, w)
+                       if _surviving_edges(g, removed, x)})
+        assert boundary_vertices(g, edge_set(removed)) == keep, sorted(removed)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +336,40 @@ def test_stable_partition_against_reference(name):
     for wp in wps + [edge_set(e) for e in _removals(name, g)]:
         want = _outcome(lambda: ref_stable_partition(g, wp, k, fuel.max_radius))
         assert _outcome(lambda: _stable_partition(g, wp, k, fuel)) == want, sorted(wp)
+
+
+# ---------------------------------------------------------------------------
+# the decision window
+# ---------------------------------------------------------------------------
+
+def test_one_split_of_the_window_is_a_fixed_point():
+    """Splitting a window that _build_window returns again gives its own
+    groups and no finite reach, so a second split could add nothing."""
+    fuel = Fuel()
+    cases = []
+    for k in (1, 2, 3):
+        for seed in range(1, 10):
+            g = CorePlusRays(seed, size=4, k=k)
+            cert = EndsCertificate(k, g.ray_edges)
+            cases += [(g, edge_set(e), cert) for e in _removals("cpr-%d-%d" % (seed, k), g)]
+    # region windows, as check_two_way prepares them
+    delta2_cut = edge_set([(8, 9, 0), (8, 9, 1), (-9, -8, 0), (-9, -8, 1)])
+    doubled_cut = edge_set([(7, 8, 0), (7, 8, 1), (-8, -7, 0), (-8, -7, 1)])
+    for g, cert in [(IntLine(), EndsCertificate(2, {edge(0, 1)})),
+                    (Doubled(CycleChain(CeEnumeration((2, 5)))), EndsCertificate(2, doubled_cut)),
+                    (Delta2TwoEnded(LimitApprox((2, 5))), EndsCertificate(2, delta2_cut))]:
+        cases += [(g, ball(g, g.basepoint, sr).edges, cert) for sr in (1, 2, 4, 8)]
+    # removing (0, 1) leaves core vertex 2, on the rim of ball(r0 + 1), in a
+    # finite piece: the split of ball(r0 + 1) reports it, and U absorbs it
+    g = CorePlusRays(5, size=6, k=1)
+    cases.append((g, {edge(0, 1)}, EndsCertificate(1, g.ray_edges)))
+    w = ball(g, g.basepoint, 2).edges
+    assert _cover_radius(g, {edge(0, 1)} | g.ray_edges, fuel) == 1
+    assert set(_stable_partition(g, w, 1, fuel)[1]) == {2}
+    for g, e, cert in cases:
+        u, groups = _build_window(g, e, cert, fuel)
+        assert e | cert.witness <= u
+        assert _stable_partition(g, u, cert.ends, fuel) == (groups, {}), sorted(e)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +489,19 @@ def test_decide_comp_overcounting_cert_rejected():
     w = edge_set([(0, 3), (0, 4), (0, 5), (0, -3)])
     with pytest.raises(UnsoundCertificateDetected):
         decide_comp(g, w, EndsCertificate(4, w), Fuel(max_radius=20))
+
+
+def test_the_certificate_is_checked_on_the_first_covering_ball():
+    # The witness leaves one infinite component, not two.  Only the split
+    # of ball(r0) sees it: the window grown from ball(r0 + 1) would answer.
+    g = parse_graph_spec("cycle-chain:events@2,5")
+    witness = [(1, 2, 0), (4, 5, 0)]
+    assert brute_components(g, witness, 30, label_sign, quiet=12)[0] == 1
+    cert = EndsCertificate(2, edge_set(witness))
+    with pytest.raises(UnsoundCertificateDetected):
+        decide_comp(g, {edge(3, 4)}, cert)
+    with pytest.raises(UnsoundCertificateDetected):
+        boundary_partition(g, {edge(3, 4)}, cert)
 
 
 def test_decide_comp_matches_brute_on_sticks():
