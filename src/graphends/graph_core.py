@@ -144,7 +144,10 @@ class GraphOracle:
 
     Subclasses implement `contains` and `_neighbors`; `neighbors` memoizes.
     `_neighbors(v)` returns [(w, multiplicity)] sorted by w; a loop shows up
-    as (v, m).
+    as (v, m).  `contains` must never change over an oracle's lifetime:
+    `neighbors` validates a vertex only when it misses the cache, so only
+    members are ever cached and a non-member raises InvalidVertex on every
+    call.
 
     `outward_growing` is an opt-in structural promise: every vertex has a
     neighbour strictly farther from the basepoint.  It implies that any
@@ -169,10 +172,10 @@ class GraphOracle:
         raise NotImplementedError
 
     def neighbors(self, v: VertexId) -> List[Tuple[VertexId, int]]:
-        if not self.contains(v):
-            raise InvalidVertex(v)
         got = self._nbr_cache.get(v)
         if got is None:
+            if not self.contains(v):
+                raise InvalidVertex(v)
             got = sorted(self._neighbors(v))
             self._nbr_cache[v] = got
         return got
@@ -292,8 +295,7 @@ def bfs_layers(g: GraphOracle, source: VertexId, cut: CutIndex):
 def distances_from(g: GraphOracle, source: VertexId, max_radius: int,
                    avoid_edges: EdgeSet = frozenset()) -> Dict[VertexId, int]:
     """BFS distances within max_radius, optionally not using avoid_edges."""
-    if not g.contains(source):
-        raise InvalidVertex(source)
+    g.neighbors(source)  # InvalidVertex for a non-member
     layers = islice(bfs_layers(g, source, cut_index(avoid_edges)), max(max_radius, 0) + 1)
     return {v: d for d, layer in enumerate(layers) for v in layer}
 

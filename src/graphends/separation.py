@@ -15,12 +15,14 @@ observed raise UnsoundCertificateDetected; detection is best effort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from functools import cache
+from itertools import chain, combinations, islice, repeat
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .graph_core import (
     CutIndex,
     DisjointSets,
+    EdgeRef,
     EdgeSet,
     EndsCertificate,
     Fuel,
@@ -365,9 +367,22 @@ def shell_edges(g: GraphOracle, r: int) -> EdgeSet:
     """Edges among vertices at distance r-1 or r from the basepoint."""
     if r < 1:
         raise ValueError("shells start at radius 1")
-    b = ball(g, g.basepoint, r)
-    rim = {v for v, d in b.distances.items() if d in (r - 1, r)}
-    return frozenset(er for er in b.edges if er.u in rim and er.v in rim)
+    return next(islice(_shells(g), r - 1, None))
+
+
+def _shells(g: GraphOracle):
+    """shell_edges(g, r) for r = 1, 2, ..., off one BFS from the basepoint:
+    shell r holds every edge copy, loops included, with both endpoints in
+    layers r-1 and r.  Past the last layer D of a finite graph the layers
+    are empty, so shell D+1 holds the edges inside layer D and every later
+    shell is empty."""
+    layers = chain(bfs_layers(g, g.basepoint, {}), repeat(()))
+    inner = next(layers)
+    for outer in layers:
+        rim = set(inner).union(outer)
+        yield frozenset(EdgeRef(v, w, s) for v in rim for w, m in g.neighbors(v)
+                        if w >= v and w in rim for s in range(m))
+        inner = outer
 
 
 _SUBSET_CAP = 18  # 2^18 subsets is the enumeration comfort limit
@@ -413,8 +428,7 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
     if sepmax_oracle(frozenset()):
         return 1
     e = None
-    for r in range(1, fuel.max_radius + 1):
-        cand = shell_edges(g, r)
+    for r, cand in enumerate(islice(_shells(g), fuel.max_radius), start=1):
         if cand and len(cand) <= _SUBSET_CAP and sepmax_oracle(cand):
             e, radius = cand, r
             break
@@ -500,20 +514,20 @@ def sepmax_witness_from_ends(g: GraphOracle, k: int,
 
     One end: the empty set.  Otherwise scan shells outward until one has
     exactly k minimal separating subsets, pairwise disjoint; that shell
-    separates every pair of ends and is the witness.  Returns EdgeSet or
-    Unknown.
+    separates every pair of ends and is the witness.  The decider is asked
+    about each edge set at most once.  Returns EdgeSet or Unknown.
     """
     if k < 1:
         raise ValueError("ends >= 1")
     if k == 1:
         return frozenset()
-    for r in range(1, fuel.max_radius + 1):
-        shell = shell_edges(g, r)
+    decide = cache(sep_decider)  # local to this call
+    for shell in islice(_shells(g), fuel.max_radius):
         if not shell or len(shell) > _SUBSET_CAP:
             continue
-        if not sep_decider(shell):
+        if not decide(shell):
             continue
-        mins = _minimal_subsets(shell, sep_decider)
+        mins = _minimal_subsets(shell, decide)
         if len(mins) != k:
             continue
         if all(not (a & b) for a, b in combinations(mins, 2)):

@@ -6,14 +6,20 @@
 For sep-stages and cli-windows at seeds 1-3 it builds the workload's
 operations (`bench/<module>.py`, `build(seed)`), runs each once in order,
 and feeds `repr((op.name, output))` of every operation into one sha256; an
-operation that raises contributes `('raised', type name, str(exc))`.  A
-change that alters a verdict, a certificate or a CLI report on purpose
-updates DIGESTS and says why.  Run it from the root of a source checkout.
+operation that raises contributes `('raised', type name, str(exc))`.  It
+also hashes the standard output and exit code of `sh demos/cli_tour.sh`,
+run with `src` on PYTHONPATH, and the `--help` text of the CLI and of each
+of its commands, at 80 columns (TEXT_DIGESTS).  A change that alters a
+verdict, a certificate, a CLI report or a help text on purpose updates the
+digests and says why.  Run it from the root of a source checkout.
 """
 
+import contextlib
 import hashlib
 import importlib
+import io
 import os
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -21,15 +27,51 @@ sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests", "bench")]
 
 DIGESTS = {
     "sep-stages": (
-        "01c55fdcb110cb042a3e7056df3441f953a5db4dfe5e46f1e55403cd6ad450e2",
-        "95d4ec1209feb155d15852c23a99de67a8e1685aec3ef2b13d8210c346269f7c",
-        "c8d48646a02ec0369603704450774299d1f7dfe64edf2ccf321571bcaf836f61",
+        "ebd7ba48d8ef0a923bfe511263a2eb93122aac7fb161068cbb63fa9bebd8d51e",
+        "8101001e21e236ac691eab9512e2b2a0f0537c0a92d1e61c25af06f85dfcab01",
+        "d5da8b581db57f249c49ae04eeef23f87ea0f5e87f7534585dfecf610fec48da",
     ),
     "cli-windows": (
         "a689a854c5f98e3db6dadb54327a987292901f4fd8d1efe9da421ac459fae56e",
         "565273ce7c1c4399bb42decde35e211c87b3e4056f03f1d5f1cf1ccc1a680250",
         "08f05181594e51e76d8afda363ad001c822bb5c0b7de753c41f24d0a3e2b8e2c",
     ),
+}
+TEXT_DIGESTS = {
+    "cli-tour":
+        "7400fb783a316d169dfd7cf4d8e0763ddfe465cbc552469e9fd83a0ebe3fad6c",
+    "--help":
+        "319f4500c173130b8bfbfc6ff807f267af0c1fd1586eae51b737b0cacfefec7a",
+    "ball --help":
+        "9d470cb1886be73f0c670e6e09bf2f36ddf1ade44d3df3f5eb77a43d8e555cfb",
+    "comp-approx --help":
+        "c4d7e5652a935d6e07f573d24d665c83f4e82f897eae7e0296798ab591cd599a",
+    "decide-comp --help":
+        "d93b823a2c290b454cf57b8662cae19da53137260ebb6c154cc2176886a105d5",
+    "boundary --help":
+        "707ed38d7dbe0a47ec1fb87cdbda56205c31bf2991535c513082d2d713ebc080",
+    "sep-semidecide --help":
+        "946b0fcad956ebfecd36826c02b244cb80acf2bf1a64d8b5b18aa48012811efc",
+    "minimal-sep --help":
+        "e218461e9f76a383bb8215a8b799d6968480929f6fad5770525d977f216ca815",
+    "ends-from-sepmax --help":
+        "d9a1836d49ea84baa415d52a5432528161e9192bff1d43cabbd8c3193131ad39",
+    "sepmax-witness --help":
+        "b3db016eeb24684cd607eebfe142ffecbee576018bf60ba1ca242ee89c945097",
+    "path-extend --help":
+        "c3b395286448c485d6684bd49b2f94ac811086c13ddf6d8ce1372fb11710cf66",
+    "greedy-path --help":
+        "b5d52ca6ecc5efed2a009b20f1845014ada05690731bef8fb5832b318d2205fc",
+    "euler-check --help":
+        "f71f0a03b3a33fcbaeb1cc3512a4f4cfb90271427097b84291ac2c306cf4f61b",
+    "gadget-list --help":
+        "e2a7e84ca4e8a0fc10023dbad1de9683c88de9102e44544534848e6156280e8f",
+    "automatic-eval --help":
+        "e2b6d6d323fe4e25edafae5a46aaaff9430816fe9a97472a1a5db5f3927c79a0",
+    "automatic-euler --help":
+        "2e43b54f07d53e274307b0511e2d6bbead025e1abfbee02a674c4dcce87468cc",
+    "dot-export --help":
+        "ac199291b7e50a3a9ffee31cd9738cb29c18c63cd193e7a7fa24d385f28ea2a8",
 }
 MODULES = {"sep-stages": "sep_stages", "cli-windows": "cli_windows"}
 
@@ -45,16 +87,41 @@ def digest(workload: str, seed: int) -> str:
     return h.hexdigest()
 
 
+def _tour() -> bytes:
+    path = [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run(["sh", os.path.join("demos", "cli_tour.sh")], cwd=ROOT, env=env,
+                         stdout=subprocess.PIPE)
+    return run.stdout + b"exit %d\n" % run.returncode
+
+
+def _help(cli, argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+        cli.main(argv)
+    return out.getvalue().encode()
+
+
+def text_digests() -> dict:
+    from graphends import cli
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
+    texts = {"cli-tour": _tour(), "--help": _help(cli, ["--help"])}
+    for name, *_row in cli.COMMANDS:
+        texts[name + " --help"] = _help(cli, [name, "--help"])
+    return {key: hashlib.sha256(text).hexdigest() for key, text in texts.items()}
+
+
 def main(argv) -> int:
     check = "--check" in argv
+    results = [("%s seed %d" % (workload, seed), digest(workload, seed), expected)
+               for workload, want in DIGESTS.items()
+               for seed, expected in enumerate(want, start=1)]
+    results += [(key, got, TEXT_DIGESTS.get(key)) for key, got in text_digests().items()]
     bad = 0
-    for workload, want in DIGESTS.items():
-        for seed, expected in enumerate(want, start=1):
-            got = digest(workload, seed)
-            ok = got == expected
-            bad += not ok
-            print("%s seed %d %s%s" % (workload, seed, got,
-                                       "" if not check or ok else "  MISMATCH, want " + expected))
+    for key, got, expected in results:
+        ok = got == expected
+        bad += not ok
+        print("%s %s%s" % (key, got, "" if not check or ok else "  MISMATCH, want %s" % expected))
     return 1 if check and bad else 0
 
 

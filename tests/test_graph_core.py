@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphends import (
-    edge, EdgeRef, Fuel, Unknown,
+    edge, EdgeRef, Fuel, GraphOracle, Unknown,
     InvalidEdge, InvalidVertex,
     IntLine, NatLine, Pi1Line, Halting, CycleChain, CeEnumeration,
     ball, degree, edges_at, multiplicity, check_edge,
@@ -117,3 +119,35 @@ def test_balls_are_nested(stages, r):
     assert small.edges <= big.edges
     for v in small.vertices:
         assert small.distances[v] == big.distances[v]
+
+
+class _CountingHalfLine(GraphOracle):
+    """Half line 0-1-2-... whose `contains` counts its calls; `_neighbors`
+    trusts the caller and never asks."""
+
+    def __init__(self):
+        super().__init__()
+        self.checked = Counter()
+
+    def contains(self, v):
+        self.checked[v] += 1
+        return v >= 0
+
+    def _neighbors(self, v):
+        return [(v - 1, 1), (v + 1, 1)] if v else [(1, 1)]
+
+
+def test_neighbors_validates_a_vertex_once_where_it_enters_the_cache():
+    g = _CountingHalfLine()
+    for _ in range(5):
+        for v in range(4):
+            g.neighbors(v)
+    b = ball(g, 0, 6)
+    assert b.vertices == frozenset(range(7))
+    assert g.checked == Counter(range(7))
+    for calls in range(1, 51):
+        with pytest.raises(InvalidVertex):
+            g.neighbors(-1)
+        assert g.checked[-1] == calls
+    with pytest.raises(InvalidVertex):
+        ball(g, -1, 0)

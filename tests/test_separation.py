@@ -9,13 +9,13 @@ from graphends import (
     GraphError, InvalidEdge, NotAShell, UnsoundCertificateDetected,
     NatLine, IntLine, CycleChain, CycleChainWithRays, LinesWithSticks, Doubled,
     Delta2TwoEnded, CeEnumeration, Halting, LimitApprox, distances_from,
-    BinaryTree, ProductGraph, GADGET_KINDS, build_gadget, parse_graph_spec,
+    BinaryTree, GraphOracle, ProductGraph, GADGET_KINDS, build_gadget, parse_graph_spec,
 )
 from graphends.separation import (
     _build_window, _cover_radius, _stable_partition, boundary_vertices, comp_approx,
     comp_counter, decide_comp, boundary_partition, semidecide_not_separating,
     minimal_separating_subsets, ends_from_sepmax, sepmax_witness_from_ends,
-    shell_edges, BoundaryPartition,
+    shell_edges, BoundaryPartition, _shells,
 )
 from graphends.graph_core import bfs_layers, cut_index
 from _brute import brute_components, label_sign, label_one_end, make_rays_label
@@ -637,6 +637,56 @@ def test_shell_edges_int_line():
     g = IntLine()
     assert shell_edges(g, 1) == edge_set([(-1, 0), (0, 1)])
     assert shell_edges(g, 3) == edge_set([(2, 3), (-3, -2)])
+
+
+class _FiveCycleWithLoop(GraphOracle):
+    """The finite cycle 0-1-2-3-4-0 with a loop at 2: its last BFS layer
+    {2, 3} holds an edge and the loop."""
+
+    def contains(self, v):
+        return 0 <= v < 5
+
+    def _neighbors(self, v):
+        return sorted([((v - 1) % 5, 1), ((v + 1) % 5, 1)] + [(2, 1)] * (v == 2))
+
+
+def _ref_shell(g, r):
+    """shell_edges as it was defined on the ball of radius r."""
+    b = ball(g, g.basepoint, r)
+    rim = {v for v, d in b.distances.items() if d in (r - 1, r)}
+    return frozenset(er for er in b.edges if er.u in rim and er.v in rim)
+
+
+# every stock family, the random cores, parallel edges, loops, and two
+# finite graphs scanned past their last layer; the full product of trees
+# grows like r * 2^r, so it stops sooner
+SHELL_GRAPHS = {name: (make, 7 if name == "lambda" else 10) for name, make in CUT_GRAPHS.items()}
+SHELL_GRAPHS.update({
+    "pruned-binary-tree-past-its-depth": (lambda: BinaryTree(lambda v: v < 16), 6),
+    "five-cycle-with-loop": (_FiveCycleWithLoop, 5),
+})
+
+
+@pytest.mark.parametrize("name", sorted(SHELL_GRAPHS))
+def test_shells_from_one_walk_match_the_ball_definition(name):
+    make, radius = SHELL_GRAPHS[name]
+    g = make()
+    want = [_ref_shell(g, r) for r in range(1, radius + 1)]
+    assert list(islice(_shells(g), radius)) == want
+    assert [shell_edges(g, r) for r in range(1, radius + 1)] == want
+
+
+def test_the_witness_search_asks_about_each_edge_set_once():
+    g = parse_graph_spec("cycle-chain:events@3,40")
+    asked = []
+
+    def probe(es):
+        asked.append(es)
+        return comp_approx(g, es, 64) >= 2
+
+    w = sepmax_witness_from_ends(g, 2, probe)
+    assert len(asked) == len(set(asked))
+    assert w == edge_set([(-41, 40), (-40, 40), (40, 41)])
 
 
 def test_minimal_separating_subsets_int_line():
