@@ -13,10 +13,9 @@ degree.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 VertexId = int
 
@@ -245,13 +244,13 @@ def ball(g: GraphOracle, center: VertexId, radius: int) -> Ball:
         raise ValueError("radius must be >= 0")
     dist = distances_from(g, center, radius)
     verts = frozenset(dist)
-    es = set()
-    for v in verts:
-        for w, m in g.neighbors(v):
-            if w in verts and w >= v:
-                for s in range(m):
-                    es.add(edge(v, w, s))
-    return Ball(center, radius, verts, frozenset(es), dist)
+    return Ball(center, radius, verts, edges_among(g, verts), dist)
+
+
+def edges_among(g: GraphOracle, verts) -> EdgeSet:
+    """Every edge copy, loops included, with both endpoints in `verts`."""
+    return frozenset(EdgeRef(v, w, s) for v in verts for w, m in g.neighbors(v)
+                     if w >= v and w in verts for s in range(m))
 
 
 CutIndex = Dict[VertexId, Dict[VertexId, int]]
@@ -304,45 +303,36 @@ def bounded_distance(g: GraphOracle, a: VertexId, b: VertexId, max_radius: int,
                      max_steps: Optional[int] = None) -> Optional[int]:
     """Distance from a to b by a two-sided BFS, or None when out of reach.
 
-    The radius bounds each side of the search, not the distance: the sides
-    meet in the middle, so the answer can reach 2 * max_radius.  Every
-    neighbour scanned is one step; past max_steps steps the search gives
-    up with None.
+    Each round the side that has seen fewer vertices (a's on a tie) pulls
+    one more layer.  The first layer that meets the other side's seen
+    vertices ends the search: the two balls were disjoint until then, so
+    the distance is the sum of their radii.  The radius bounds each side,
+    not the distance, so the answer can reach 2 * max_radius; a smaller
+    side that cannot grow any more ends the search with None.  Every
+    neighbour scanned is one step, charged for a whole layer before it is
+    expanded; past max_steps steps the search gives up with None.
     """
     if a == b:
         return 0
-    # two-sided BFS keeps window sizes sane on fast-growing graphs
-    da = {a: 0}
-    db = {b: 0}
-    qa, qb = deque([a]), deque([b])
-    best = None
+    walks = (bfs_layers(g, a, {}), bfs_layers(g, b, {}))
+    rims = [next(walks[0]), next(walks[1])]
+    seen = (set(rims[0]), set(rims[1]))
+    depth = [0, 0]
     steps = 0
-    for _round in range(2 * max_radius):
-        side_d, side_q, other_d = (da, qa, db) if len(da) <= len(db) else (db, qb, da)
-        if not side_q:
-            break
-        depth = side_d[side_q[0]]
-        if best is not None and best <= 2 * depth:
-            break
-        while side_q and side_d[side_q[0]] == depth:
-            v = side_q.popleft()
-            for w, _m in g.neighbors(v):
-                steps += 1
-                if max_steps is not None and steps > max_steps:
-                    return None
-                if w in other_d:
-                    cand = side_d[v] + 1 + other_d[w]
-                    if best is None or cand < best:
-                        best = cand
-                if w not in side_d:
-                    side_d[w] = side_d[v] + 1
-                    if side_d[w] < max_radius:
-                        side_q.append(w)
-        if best is not None and best <= 2 * (depth + 1):
-            break
-    if best is not None and best <= 2 * max_radius:
-        return best
-    return None
+    while True:
+        i = 0 if len(seen[0]) <= len(seen[1]) else 1
+        if depth[i] >= max_radius:
+            return None
+        steps += sum(len(g.neighbors(v)) for v in rims[i])
+        if max_steps is not None and steps > max_steps:
+            return None
+        rims[i] = next(walks[i], None)
+        if rims[i] is None:
+            return None
+        depth[i] += 1
+        if not seen[1 - i].isdisjoint(rims[i]):
+            return depth[0] + depth[1]
+        seen[i].update(rims[i])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple, Union
+from itertools import islice
+from typing import Callable, List, Tuple, Union
 
 from .graph_core import (
     CutIndex,
@@ -51,6 +52,7 @@ from .graph_core import (
     NotASimplePath,
     Unknown,
     VertexId,
+    bfs_layers,
     check_edge_set,
     cut_index,
     distances_from,
@@ -222,42 +224,37 @@ def greedy_infinite_path(g: GraphOracle, start: VertexId,
     return path
 
 
-def _tree_walk(g: GraphOracle, a: VertexId, b: VertexId,
-               fuel: Fuel) -> List[VertexId]:
-    """The unique a-to-b path in a tree, by parent-tracking BFS."""
-    if a == b:
-        return [a]
-    parent: Dict[VertexId, VertexId] = {a: a}
-    layer = [a]
-    for _ in range(fuel.max_radius):
-        nxt = []
-        for v in layer:
-            for w, _ in g.neighbors(v):
-                if w in parent:
-                    continue
-                parent[w] = v
-                if w == b:
-                    out = [b]
-                    while out[-1] != a:
-                        out.append(parent[out[-1]])
-                    out.reverse()
-                    return out
-                nxt.append(w)
-        layer = nxt
-        if not layer or len(parent) > fuel.max_steps:
+def _tree_layers(g: GraphOracle, a: VertexId, targets,
+                 fuel: Fuel) -> List[List[VertexId]]:
+    """BFS layers from a, up to the first one by which every target has been
+    seen; GraphError past fuel.max_radius layers, or once more than
+    fuel.max_steps vertices were seen after a layer short of the targets."""
+    missing = set(targets)
+    layers, reached = [], 0
+    for layer in islice(bfs_layers(g, a, {}), fuel.max_radius + 1):
+        layers.append(layer)
+        missing.difference_update(layer)
+        if not missing:
+            return layers
+        reached += len(layer)
+        if reached > fuel.max_steps:
             break
     raise GraphError("no path from %r to %r within fuel; not a connected "
-                     "tree or budget too small" % (a, b))
+                     "tree or budget too small" % (a, min(missing)))
 
 
 def _tree_path_avoids(g: GraphOracle, a: VertexId, b: VertexId, cut: CutIndex,
                       fuel: Fuel) -> bool:
-    """Same component of tree-minus-cut?  The unique path must dodge it."""
-    walk = _tree_walk(g, a, b, fuel)
-    for x, y in zip(walk, walk[1:]):
-        m = next(mm for w, mm in g.neighbors(x) if w == y)
+    """Same component of tree-minus-cut?  The unique a-to-b path, walked
+    back from b through its one neighbour in each earlier layer, must dodge
+    the cut."""
+    layers = _tree_layers(g, a, (b,), fuel)
+    x = b
+    for earlier in map(set, reversed(layers[:-1])):
+        y, m = next((w, m) for w, m in g.neighbors(x) if w in earlier)
         if m <= cut.get(x, {}).get(y, 0):
             return False
+        x = y
     return True
 
 
@@ -278,23 +275,16 @@ def tree_sep_from_path(g: GraphOracle, e,
     endpoints = sorted(edge_induced_vertices(e))
     cut = cut_index(e)
 
-    # group endpoints into components of tree-minus-e
+    # one representative endpoint per component of tree-minus-e
     comp_reps: List[VertexId] = []
-    comp_members: List[List[VertexId]] = []
     for v in endpoints:
-        for i, rep in enumerate(comp_reps):
-            if _tree_path_avoids(g, rep, v, cut, fuel):
-                comp_members[i].append(v)
-                break
-        else:
+        if not any(_tree_path_avoids(g, rep, v, cut, fuel) for rep in comp_reps):
             comp_reps.append(v)
-            comp_members.append([v])
 
     infinite = 0
     for rep in comp_reps:
         # horizon: one step past the farthest endpoint of e, as seen from rep
-        # (walks stop the moment the target is found, so no full balls here)
-        h = max(len(_tree_walk(g, rep, y, fuel)) - 1 for y in endpoints)
+        h = len(_tree_layers(g, rep, endpoints, fuel)) - 1
         survived = distances_from(g, rep, h + 1, avoid_edges=e)
         frontier = [x for x, d in survived.items() if d == h + 1]
         for x in frontier:

@@ -22,7 +22,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 from .graph_core import (
     CutIndex,
     DisjointSets,
-    EdgeRef,
     EdgeSet,
     EndsCertificate,
     Fuel,
@@ -38,6 +37,7 @@ from .graph_core import (
     cut_index,
     distances_from,
     edge_induced_vertices,
+    edges_among,
     edges_at,
 )
 
@@ -379,9 +379,7 @@ def _shells(g: GraphOracle):
     layers = chain(bfs_layers(g, g.basepoint, {}), repeat(()))
     inner = next(layers)
     for outer in layers:
-        rim = set(inner).union(outer)
-        yield frozenset(EdgeRef(v, w, s) for v in rim for w, m in g.neighbors(v)
-                        if w >= v and w in rim for s in range(m))
+        yield edges_among(g, set(inner).union(outer))
         inner = outer
 
 
@@ -436,61 +434,29 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
         return Unknown(fuel.max_radius)
 
     mins = _minimal_subsets(e, sepmax_oracle)
-    dist = ball(g, g.basepoint, radius + 1).distances
+    dist = distances_from(g, g.basepoint, radius)
     reps = [u for u in boundary_vertices(g, e) if dist[u] == radius
             and any(any(u in (er.u, er.v) for er in m) for m in mins)]
     if not reps:
         return Unknown(fuel.max_radius)
 
-    sets = DisjointSets(reps)
+    # representatives whose radius-d balls in G minus e overlap share a
+    # component; a group is told apart from another once every minimal
+    # subset touches the union of their balls
     cut = cut_index(e)
-    known = {u: {u} for u in reps}      # vertices known to sit in u's component
-    frontier = {u: {u} for u in reps}
+    searches = {u: bfs_layers(g, u, cut) for u in reps}
+    balls = {u: set(next(searches[u])) for u in reps}
+    no_rims = dict.fromkeys(reps, ())
     for _depth in range(1, fuel.max_radius + 1):
-        roots = sorted(known)
-        owner = {}
-        for rt in roots:
-            for v in known[rt]:
-                owner[v] = rt
-        merges = []
-        for rt in roots:
-            new = set()
-            for v in frontier[rt]:
-                gone = cut.get(v, {})
-                for w, m in g.neighbors(v):
-                    if m <= gone.get(w, 0):
-                        continue  # every parallel copy removed
-                    if w in owner:
-                        if owner[w] != rt:
-                            merges.append((owner[w], rt))
-                        continue
-                    owner[w] = rt
-                    known[rt].add(w)
-                    new.add(w)
-            frontier[rt] = new
-        for a, b in merges:
-            sets.union(a, b)
-        new_known, new_frontier = {}, {}
-        for rt in roots:
-            nr = sets.find(rt)
-            new_known.setdefault(nr, set()).update(known[rt])
-            new_frontier.setdefault(nr, set()).update(frontier[rt])
-        known, frontier = new_known, new_frontier
-        roots = sorted(known)
-
-        if len(roots) < 2:
+        for u in reps:
+            balls[u].update(next(searches[u], ()))
+        groups = _merge_by_overlap(balls, no_rims)
+        if len(groups) < 2:
             continue  # everything merged: the oracle lied, keep burning fuel
-        all_distinct = True
-        for a, b in combinations(roots, 2):
-            zone = known[a] | known[b]
-            for m in mins:
-                if not any(er.u in zone or er.v in zone for er in m):
-                    all_distinct = False
-                    break
-            if not all_distinct:
-                break
-        if all_distinct:
-            return len(roots)
+        zones = [set().union(*(balls[u] for u in grp)) for grp in groups]
+        if all(any(x in a or x in b for er in m for x in (er.u, er.v))
+               for a, b in combinations(zones, 2) for m in mins):
+            return len(groups)
     return Unknown(fuel.max_radius)
 
 

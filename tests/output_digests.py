@@ -7,14 +7,15 @@ For sep-stages and cli-windows at seeds 1-3 it builds the workload's
 operations (`bench/<module>.py`, `build(seed)`), runs each once in order,
 and feeds `repr((op.name, output))` of every operation into one sha256; an
 operation that raises contributes `('raised', type name, str(exc))`.  It
-also hashes the standard output and exit code of `sh demos/cli_tour.sh`,
-run with `src` on PYTHONPATH, and the `--help` text of the CLI and of each
-of its commands, at 80 columns (TEXT_DIGESTS).  A change that alters a
-verdict, a certificate, a CLI report or a help text on purpose updates the
-digests and says why.  Run it from the root of a source checkout.
+also hashes the standard output and exit code of `sh demos/cli_tour.sh`
+and of each `demos/*.py`, run with `src` on PYTHONPATH, and the `--help`
+text of the CLI and of each of its commands, at 80 columns (TEXT_DIGESTS).
+A change that alters a verdict, a certificate, a CLI report or a help text
+on purpose updates the digests and says why.  Run it from the root of a source checkout.
 """
 
 import contextlib
+import glob
 import hashlib
 import importlib
 import io
@@ -72,6 +73,18 @@ TEXT_DIGESTS = {
         "2e43b54f07d53e274307b0511e2d6bbead025e1abfbee02a674c4dcce87468cc",
     "dot-export --help":
         "ac199291b7e50a3a9ffee31cd9738cb29c18c63cd193e7a7fa24d385f28ea2a8",
+    "demos/counting_logic.py":
+        "dc71ac5e46e8c5adcad1250c5c317196427c8e5f27e5abd15dbebdd7b0440a24",
+    "demos/ends_roundtrip.py":
+        "133db3c565bd7b213c7a92b9d8e6900a2c32528181b6f9b0ed78aa0acea860e1",
+    "demos/eulerian_verdicts.py":
+        "cfca68753da8c380053bc36585bb35e763b166ef01bc176259fc7467614a06ef",
+    "demos/gadget_zoo.py":
+        "1deb39cdba3ab41f6e1d296ddfb7e9d1bc6e270ce422bc5d76de6c7b2a819a2c",
+    "demos/greedy_paths.py":
+        "093bf947f61b3b4f8e53d5c763f9e6fd9c29378ee29287c6a2f104083ad8f3a7",
+    "demos/separation_walkthrough.py":
+        "ddde7d73bc5dddfb21ddc81aeae2167510b54c2f3ab62d96925827cc070bf035",
 }
 MODULES = {"sep-stages": "sep_stages", "cli-windows": "cli_windows"}
 
@@ -87,11 +100,11 @@ def digest(workload: str, seed: int) -> str:
     return h.hexdigest()
 
 
-def _tour() -> bytes:
+def _run(argv) -> bytes:
+    """Standard output and exit code of argv, run from ROOT with src on PYTHONPATH."""
     path = [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    run = subprocess.run(["sh", os.path.join("demos", "cli_tour.sh")], cwd=ROOT, env=env,
-                         stdout=subprocess.PIPE)
+    run = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE)
     return run.stdout + b"exit %d\n" % run.returncode
 
 
@@ -105,9 +118,12 @@ def _help(cli, argv) -> bytes:
 def text_digests() -> dict:
     from graphends import cli
     os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
-    texts = {"cli-tour": _tour(), "--help": _help(cli, ["--help"])}
+    texts = {"cli-tour": _run(["sh", os.path.join("demos", "cli_tour.sh")]),
+             "--help": _help(cli, ["--help"])}
     for name, *_row in cli.COMMANDS:
         texts[name + " --help"] = _help(cli, [name, "--help"])
+    for demo in sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))):
+        texts["demos/" + os.path.basename(demo)] = _run([sys.executable, demo])
     return {key: hashlib.sha256(text).hexdigest() for key, text in texts.items()}
 
 

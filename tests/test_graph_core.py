@@ -8,7 +8,7 @@ from graphends import (
     InvalidEdge, InvalidVertex,
     IntLine, NatLine, Pi1Line, Halting, CycleChain, CeEnumeration,
     ball, degree, edges_at, multiplicity, check_edge,
-    finite_components, edge_induced_vertices, bounded_distance, to_dot,
+    finite_components, edge_induced_vertices, bounded_distance, to_dot, tree_lambda,
 )
 from graphends.graph_core import DisjointSets
 
@@ -89,6 +89,19 @@ def test_bounded_distance():
     # then 3, 5: the sides meet at 2 on scan 9, and that layer ends on 12
     assert bounded_distance(g, 0, 4, 10, max_steps=12) == 4
     assert bounded_distance(g, 0, 4, 10, max_steps=11) is None
+
+
+def test_bounded_distance_step_boundaries_on_lambda():
+    # each layer is charged the neighbour lists of its vertices before it
+    # is expanded; the budgets are the least that answer
+    g = tree_lambda()
+    a, b = g.basepoint, g.pack(4, 6)
+    assert bounded_distance(g, a, b, 10, max_steps=66) == 4
+    assert bounded_distance(g, a, b, 10, max_steps=65) is None
+    # the sides tie at the start and a's goes first: from b's end it takes 37
+    a, b = g.pack(2, 1), g.pack(16, 1)
+    assert bounded_distance(g, a, b, 10, max_steps=36) == 3
+    assert bounded_distance(g, a, b, 10, max_steps=35) is None
 
 
 def test_disjoint_sets_keep_the_smaller_root():

@@ -7,6 +7,7 @@ import pytest
 from graphends.graph_core import (
     EndsCertificate,
     Fuel,
+    GraphError,
     InvalidVertex,
     NoExtension,
     NotASimplePath,
@@ -336,3 +337,15 @@ def test_tree_sep_on_pruned_tree():
 
 def test_tree_sep_empty_set():
     assert tree_sep_from_path(IntLine(), edge_set([]), _always) is False
+
+
+def test_tree_sep_fuel_boundaries_on_binary_tree():
+    # the horizon walk from the root must reach 16 at depth 4: four layers
+    # past the root, and the 15 vertices of layers 0-3 seen short of it
+    g, e = BinaryTree(), edge_set([(1, 2), (8, 16)])
+    assert tree_sep_from_path(g, e, _always, Fuel(max_radius=4)) is True
+    with pytest.raises(GraphError):
+        tree_sep_from_path(g, e, _always, Fuel(max_radius=3))
+    assert tree_sep_from_path(g, e, _always, Fuel(max_steps=15)) is True
+    with pytest.raises(GraphError):
+        tree_sep_from_path(g, e, _always, Fuel(max_steps=14))

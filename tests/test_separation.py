@@ -8,7 +8,7 @@ from graphends import (
     ball, edge, edge_set, edge_induced_vertices, Fuel, Unknown, EndsCertificate,
     GraphError, InvalidEdge, NotAShell, UnsoundCertificateDetected,
     NatLine, IntLine, CycleChain, CycleChainWithRays, LinesWithSticks, Doubled,
-    Delta2TwoEnded, CeEnumeration, Halting, LimitApprox, distances_from,
+    Delta2TwoEnded, CeEnumeration, Halting, LimitApprox, bounded_distance, distances_from,
     BinaryTree, GraphOracle, ProductGraph, GADGET_KINDS, build_gadget, parse_graph_spec,
 )
 from graphends.separation import (
@@ -258,6 +258,23 @@ def test_bfs_layers_against_copy_by_copy_reference(name):
         keep = sorted({x for u, w, _s in removed for x in (u, w)
                        if _surviving_edges(g, removed, x)})
         assert boundary_vertices(g, edge_set(removed)) == keep, sorted(removed)
+
+
+@pytest.mark.parametrize("name", sorted(CUT_GRAPHS))
+def test_bounded_distance_against_bfs(name):
+    """The two-sided search answers None or the BFS distance, and the
+    distance whenever it is at most max_radius."""
+    g = CUT_GRAPHS[name]()
+    near = sorted(distances_from(g, g.basepoint, 3))
+    picks = random.Random(name).sample(near, min(8, len(near)))
+    for x in picks:
+        dist = distances_from(g, x, 6)
+        for y in picks:
+            for radius in (1, 2, 3):
+                got = bounded_distance(g, x, y, radius)
+                assert got in (None, dist.get(y)), (x, y, radius)
+                if dist.get(y, radius + 1) <= radius:
+                    assert got == dist[y], (x, y, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -746,12 +763,28 @@ def sepmax_oracle_for(g, label, k, quiet):
 def test_ends_from_sepmax_basics():
     assert ends_from_sepmax(NatLine(), sepmax_oracle_for(NatLine(), label_one_end, 1, 6)) == 1
     assert ends_from_sepmax(IntLine(), sepmax_oracle_for(IntLine(), label_sign, 2, 6)) == 2
+    # a stage-6 probe that rejects the empty set on a one-ended core: at
+    # every depth some minimal subset avoids the balls of two groups, so
+    # no count comes out
+    g = CorePlusRays(3, size=4, k=1)
+    assert ends_from_sepmax(g, lambda es: comp_approx(g, es, 6) == 1,
+                            Fuel(max_radius=16)) == Unknown(16)
 
 
 def test_ends_from_sepmax_rays():
     g = CycleChainWithRays(CeEnumeration(every_stage=True), k=3)
     label = make_rays_label(3, lambda v: "chain")
     assert ends_from_sepmax(g, sepmax_oracle_for(g, label, 3, 12)) == 3
+    # a lying oracle: every nonempty set whose largest endpoint is even
+    liar = lambda es: bool(es) and max(e.v for e in es) % 2 == 0
+    assert ends_from_sepmax(g, liar, Fuel(max_radius=2)) == 2
+    assert ends_from_sepmax(g, liar, Fuel(max_radius=1)) == Unknown(1)
+    # from basepoint 0 radius 1 answers already; from basepoint 10 the
+    # first maximally separating shell has radius 4
+    g.basepoint = 10
+    oracle = sepmax_oracle_for(g, label, 3, 12)
+    assert ends_from_sepmax(g, oracle, Fuel(max_radius=4)) == 3
+    assert ends_from_sepmax(g, oracle, Fuel(max_radius=3)) == Unknown(3)
 
 
 def test_ends_from_sepmax_merges_representatives_of_one_component():
