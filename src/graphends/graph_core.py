@@ -146,7 +146,8 @@ class GraphOracle:
     as (v, m).  `contains` must never change over an oracle's lifetime:
     `neighbors` validates a vertex only when it misses the cache, so only
     members are ever cached and a non-member raises InvalidVertex on every
-    call.
+    call.  Neighbours never change, so a decision window depends on a removal
+    only through its cover radius r0, and the oracle keeps the last one built.
 
     `outward_growing` is an opt-in structural promise: every vertex has a
     neighbour strictly farther from the basepoint.  It implies that any
@@ -163,6 +164,7 @@ class GraphOracle:
 
     def __init__(self):
         self._nbr_cache: Dict[VertexId, List[Tuple[VertexId, int]]] = {}
+        self._window: tuple = (None, None)  # ((cert, r0, fuel), window)
 
     def contains(self, v: VertexId) -> bool:
         raise NotImplementedError

@@ -258,6 +258,26 @@ def _tree_path_avoids(g: GraphOracle, a: VertexId, b: VertexId, cut: CutIndex,
     return True
 
 
+def _raise_on_cycle(g: GraphOracle, dist, depth: int) -> None:
+    """GraphError naming a cycle that BFS distances `dist` show within `depth`
+    (all neighbours fetched): a parallel edge, an edge inside a layer, or a
+    vertex reached from two closer ones, closed over both walks back."""
+    parent = {}
+    for x, d in dist.items():
+        for w, m in g.neighbors(x) if d <= depth else ():
+            if dist.get(w, -1) < d:
+                continue
+            if m == 1 and dist[w] > d and parent.setdefault(w, x) == x:
+                continue  # x is w's first way back to the source
+            a, b = [x], ([w] if m == 1 else [w, x])
+            for path in (a, b):
+                while path[-1] in parent:
+                    path.append(parent[path[-1]])
+            while len(a) > 1 and len(b) > 1 and a[-2] == b[-2]:
+                del a[-1], b[-1]
+            raise GraphError("not a tree: cycle %s" % " - ".join(map(str, a + b[-2::-1])))
+
+
 def tree_sep_from_path(g: GraphOracle, e,
                        path_oracle: Callable[[SimplePath], bool],
                        fuel: Fuel = Fuel()) -> bool:
@@ -268,6 +288,7 @@ def tree_sep_from_path(g: GraphOracle, e,
     w -> x crossing that horizon is untouched by e, so [w, x] extends to an
     infinite simple path iff the branch -- hence the component -- is
     infinite.  Separating means at least two components come out infinite.
+    A cycle seen on a horizon walk raises GraphError.
     """
     e = check_edge_set(g, e)
     if not e:
@@ -286,6 +307,7 @@ def tree_sep_from_path(g: GraphOracle, e,
         # horizon: one step past the farthest endpoint of e, as seen from rep
         h = len(_tree_layers(g, rep, endpoints, fuel)) - 1
         survived = distances_from(g, rep, h + 1, avoid_edges=e)
+        _raise_on_cycle(g, survived, h)
         frontier = [x for x, d in survived.items() if d == h + 1]
         for x in frontier:
             w = next(w for w, _ in g.neighbors(x) if survived.get(w) == h)

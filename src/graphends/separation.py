@@ -48,7 +48,10 @@ from .graph_core import (
 
 def boundary_vertices(g: GraphOracle, e: EdgeSet) -> List[VertexId]:
     """Endpoints of e that keep a surviving edge: a pair not cut by e."""
-    cut = cut_index(e)
+    return _boundary_vertices(g, e, cut_index(e))
+
+
+def _boundary_vertices(g: GraphOracle, e: EdgeSet, cut: CutIndex) -> List[VertexId]:
     return [v for v in sorted(edge_induced_vertices(e))
             if any(m > cut.get(v, {}).get(w, 0) for w, m in g.neighbors(v))]
 
@@ -121,7 +124,7 @@ def comp_approx(g: GraphOracle, e: EdgeSet, n: int) -> int:
         return 0
     balls, rims = {}, {}
     cut = cut_index(e)
-    for v in boundary_vertices(g, e):
+    for v in _boundary_vertices(g, e, cut):
         layers = list(islice(bfs_layers(g, v, cut), n + 1))
         if len(layers) <= n:
             continue  # v's component ends before layer n: its reach is complete
@@ -170,8 +173,8 @@ def _stable_partition(g: GraphOracle, wp: EdgeSet, k: int, fuel: Fuel):
     Returns (groups, finite_reach) or None when fuel runs out; finite_reach
     maps each finite-side boundary vertex to its component's full edge set.
     """
-    bnd = boundary_vertices(g, wp)
     cut = cut_index(wp)
+    bnd = _boundary_vertices(g, wp, cut)
     searches = {v: bfs_layers(g, v, cut) for v in bnd}
     balls = {v: set(next(searches[v])) for v in bnd}   # layers 0..n-1
     rims = {v: next(searches[v], []) for v in bnd}     # layer n
@@ -245,20 +248,23 @@ def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel)
     their group count only falls as the stage grows and is k at n, so a
     second split stops by n with the same groups and no finite reach.
     Boundary vertices of one component need not reconnect inside U:
-    `_window_classes` joins them.
+    `_window_classes` joins them.  The window depends on e only through r0,
+    so the oracle keeps the last one built (or Unknown) under (cert, r0,
+    fuel), read-only; raises are not kept.
     """
     k = cert.ends
     r0 = _cover_radius(g, e | cert.witness, fuel)
-    if (r0 is None
-            or _stable_partition(g, ball(g, g.basepoint, r0).edges, k, fuel) is None
-            or r0 + 1 > fuel.max_radius):
-        return Unknown(fuel.max_radius)
-    w = ball(g, g.basepoint, r0 + 1).edges
-    got = _stable_partition(g, w, k, fuel)
-    if got is None:
-        return Unknown(fuel.max_radius)
-    groups, finite = got
-    return w.union(*finite.values()), groups
+    if g._window[0] == (cert, r0, fuel):
+        return g._window[1]
+    win = Unknown(fuel.max_radius)
+    if (r0 is not None
+            and _stable_partition(g, ball(g, g.basepoint, r0).edges, k, fuel) is not None
+            and r0 + 1 <= fuel.max_radius):
+        w = ball(g, g.basepoint, r0 + 1).edges
+        got = _stable_partition(g, w, k, fuel)
+        win = win if got is None else (w.union(*got[1].values()), got[0])
+    g._window = (cert, r0, fuel), win
+    return win
 
 
 def _check_certificate(g: GraphOracle, cert: EndsCertificate) -> None:
@@ -435,7 +441,8 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
 
     mins = _minimal_subsets(e, sepmax_oracle)
     dist = distances_from(g, g.basepoint, radius)
-    reps = [u for u in boundary_vertices(g, e) if dist[u] == radius
+    cut = cut_index(e)
+    reps = [u for u in _boundary_vertices(g, e, cut) if dist[u] == radius
             and any(any(u in (er.u, er.v) for er in m) for m in mins)]
     if not reps:
         return Unknown(fuel.max_radius)
@@ -443,7 +450,6 @@ def ends_from_sepmax(g: GraphOracle, sepmax_oracle: Callable[[EdgeSet], bool],
     # representatives whose radius-d balls in G minus e overlap share a
     # component; a group is told apart from another once every minimal
     # subset touches the union of their balls
-    cut = cut_index(e)
     searches = {u: bfs_layers(g, u, cut) for u in reps}
     balls = {u: set(next(searches[u])) for u in reps}
     no_rims = dict.fromkeys(reps, ())

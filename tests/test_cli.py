@@ -251,6 +251,18 @@ def test_ends_from_sepmax_recovers_three(cli):
     assert last_line(out) == "3"
 
 
+def test_ends_from_sepmax_splits_one_window(cli, monkeypatch):
+    # every edge set it probes has the witness's cover radius, so one
+    # window serves them all: ball(r0) and ball(r0 + 1), each split once
+    import graphends.separation as sep
+    splits, real = [], sep._stable_partition
+    monkeypatch.setattr(sep, "_stable_partition", lambda *a: splits.append(a) or real(*a))
+    out, _ = cli("ends-from-sepmax", "--graph", "rays2:events@2", "--ends", "3",
+                 "--witness", "(3,5),(8,10),(-10,-8)", "--fuel-radius", "12")
+    assert last_line(out) == "3"
+    assert len(splits) == 2
+
+
 def test_sepmax_witness_on_the_line(cli):
     out, _ = cli("sepmax-witness", "--graph", "int-line", "--ends", "2")
     assert last_line(out) == "(-1,0);(0,1)"

@@ -36,7 +36,7 @@ from graphends.paths import (
 )
 
 from _brute import brute_components
-from _fixtures import CorePlusRays, PendantLine
+from _fixtures import CorePlusRays, LollipopLine, LoopyLine, PendantLine
 
 ONE_END = EndsCertificate(1)
 LINE_CERT = EndsCertificate(2, edge_set([(0, 1)]))
@@ -337,6 +337,29 @@ def test_tree_sep_on_pruned_tree():
 
 def test_tree_sep_empty_set():
     assert tree_sep_from_path(IntLine(), edge_set([]), _always) is False
+
+
+def test_tree_sep_names_a_cycle_of_lambda():
+    # lambda is one-ended, so no finite edge set separates it; the horizon
+    # walk from 255 shows a 4-cycle of the product of trees
+    g = tree_lambda()
+    with pytest.raises(GraphError, match="not a tree: cycle") as err:
+        tree_sep_from_path(g, edge_set([(255, 992)]), _always)
+    cycle = [int(v) for v in str(err.value).split("cycle ")[1].split(" - ")]
+    assert len(cycle) == len(set(cycle)) == 4
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert any(w == b for w, _ in g.neighbors(a)), (a, b)
+
+
+@pytest.mark.parametrize("make,e,cycle", [
+    (LollipopLine, (0, 1), "-2 - 0 - -1"),  # an edge inside layer 1 from 0
+    (LoopyLine, (0, 1), "1 - 2"),  # the doubled edge, seen from 1
+    (LoopyLine, (-1, 0), "-2"),  # the loop, in layer 1 from -1
+])
+def test_tree_sep_names_an_edge_inside_a_layer_a_parallel_edge_and_a_loop(make, e, cycle):
+    with pytest.raises(GraphError) as err:
+        tree_sep_from_path(make(), edge_set([e]), _always)
+    assert str(err.value) == "not a tree: cycle " + cycle
 
 
 def test_tree_sep_fuel_boundaries_on_binary_tree():

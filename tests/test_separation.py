@@ -521,6 +521,87 @@ def test_the_certificate_is_checked_on_the_first_covering_ball():
         boundary_partition(g, {edge(3, 4)}, cert)
 
 
+# ---------------------------------------------------------------------------
+# the oracle keeps the last window built
+# ---------------------------------------------------------------------------
+
+def _count_splits(monkeypatch):
+    """Record every _stable_partition call from here on."""
+    import graphends.separation as sep
+    calls, real = [], sep._stable_partition
+    monkeypatch.setattr(sep, "_stable_partition", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_decide_comp_then_boundary_partition_split_one_window(monkeypatch):
+    splits = _count_splits(monkeypatch)
+    g, e = IntLine(), {edge(5, 6)}
+    cert = EndsCertificate(2, {edge(0, 1)})
+    assert decide_comp(g, e, cert) == 2
+    assert boundary_partition(g, e, cert).infinite_groups == ({5}, {6})
+    # ball(r0) and ball(r0 + 1), both split once for the two deciders
+    assert len(splits) == 2
+
+
+def test_a_wrong_certificate_raises_on_every_call(monkeypatch):
+    # the case of test_the_certificate_is_checked_on_the_first_covering_ball,
+    # around a window kept from a sound certificate
+    g, e = parse_graph_spec("cycle-chain:events@2,5"), {edge(3, 4)}
+    bad = EndsCertificate(2, edge_set([(1, 2, 0), (4, 5, 0)]))
+    good = EndsCertificate(2, edge_set([(7, 8, 0), (-8, -7, 0)]))
+    assert decide_comp(g, e, good) == 1
+    splits = _count_splits(monkeypatch)
+    for decide in (decide_comp, decide_comp, boundary_partition):
+        with pytest.raises(UnsoundCertificateDetected):
+            decide(g, e, bad)
+    assert len(splits) == 3  # the ball(r0) split, every time
+    assert decide_comp(g, e, good) == 1 and len(splits) == 3
+
+
+SLOT_GRAPHS = {name: (STOCK[name][0], k) for name, k in STOCK_ENDS.items() if k >= 2}
+SLOT_GRAPHS.update({"core-plus-rays-%d-%d" % (seed, k): (
+    lambda seed=seed, k=k: CorePlusRays(seed, size=4, k=k), k)
+    for seed in (1, 2) for k in (2, 3)})
+
+
+def _answer(run):
+    try:
+        return run()
+    except UnsoundCertificateDetected:
+        return "unsound"
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_GRAPHS))
+def test_the_kept_window_answers_as_a_fresh_oracle_does(name):
+    """Interleaved decisions on one oracle, against the same decisions each
+    on a fresh oracle.  A random walk changes one of decider, removal,
+    certificate and fuel per call, so the kept window is hit, missed and
+    replaced.  Two certificates take the basepoint's radius-6 and radius-7
+    balls as witnesses, and a third claims an end too many; the tight fuel
+    leaves some windows Unknown."""
+    make, k = SLOT_GRAPHS[name]
+    g = make()
+    certs = [EndsCertificate(k, ball(g, g.basepoint, 6).edges),
+             EndsCertificate(k, ball(g, g.basepoint, 7).edges),
+             EndsCertificate(k + 1, ball(g, g.basepoint, 6).edges)]
+    fuels = [Fuel(), Fuel(max_radius=7)]
+    removals = [edge_set(e) for e in _removals(name, g)[::2]]
+    removals += [frozenset({min(shell_edges(g, r))}) for r in (2, 5, 9)]
+    choices = [(decide_comp, boundary_partition), removals, certs, fuels]
+    rng = random.Random(name)
+    pick = [rng.choice(c) for c in choices]
+    hits, keys = 0, set()
+    for _ in range(24):
+        i = rng.randrange(4)
+        pick[i] = rng.choice(choices[i])
+        decide, e, cert, fuel = pick
+        key = (cert, _cover_radius(g, e | cert.witness, fuel), fuel)
+        hits, keys = hits + (g._window[0] == key), keys | {key}
+        want = _answer(lambda: decide(make(), e, cert, fuel))
+        assert _answer(lambda: decide(g, e, cert, fuel)) == want, (decide, sorted(e), cert, fuel)
+    assert hits and len(keys) > 1
+
+
 def test_decide_comp_matches_brute_on_sticks():
     g = LinesWithSticks(Halting(4))
     cert = EndsCertificate(2, {edge(8, 9)})
