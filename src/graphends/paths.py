@@ -1,28 +1,26 @@
 """Extending finite simple paths to infinite ones.
 
-A finite simple path extends to an infinite simple path exactly when, after
-deleting every edge touching the path's vertices, some neighbour of the final
-vertex sits in an infinite component of what is left.  That turns path
-extension into a component question, which the separation machinery answers
-from an ends certificate.  Two routes compute the per-neighbour verdict:
+A finite simple path extends to an infinite simple path exactly when some
+neighbour of its tip, off the path, lies in an infinite component of G minus
+the path's vertices.  The separation machinery answers that component
+question from an ends certificate, by one of two routes:
 
-* the windowed boundary partition: always available and exact, but it builds
-  balls around the basepoint -- fine on thin graphs, hopeless on
-  exponentially growing ones;
+* the decision window, always available and exact, but built from balls
+  around the basepoint -- fine on thin graphs, hopeless on exponentially
+  growing ones.  `decide_extendable` reads its boundary partition; the
+  greedy builder searches it from each candidate up to its first exit;
 
-* an outward escape search, used when the oracle is `outward_growing` and
-  knows `base_distance`: starting from the candidate neighbour, repeatedly
-  expand the reachable vertex farthest from the basepoint.  Every removed
-  edge touches a path vertex, so its endpoints sit within D+1 of the
-  basepoint, D being the farthest path vertex.  The moment the search pops a
-  vertex at distance D+2 or more, outwardness yields a ray of strictly
-  increasing distances whose edges all dodge the removal -- component
-  infinite.  If instead the search drains, the component was enumerated in
-  full -- finite.  Exact either way; only the step budget can force Unknown.
+* an outward escape search, when the oracle is `outward_growing` and knows
+  `base_distance`: repeatedly expand the reachable vertex farthest from the
+  basepoint.  Once it pops a vertex at distance D+2 or more, D being the
+  farthest path vertex, outwardness yields a ray of strictly increasing
+  distances that dodges the path -- infinite.  If it drains, the component
+  was enumerated in full -- finite.  Only the step budget forces Unknown.
 
-Greedy construction stacks one-step extension decisions: always append the
-least neighbour whose extension still stretches to infinity.  Since the
-decision is exact, nothing is ever retracted.
+The greedy builder appends the least such neighbour, never retracting.  It
+carries its state from step to step: vertices found finite stay finite, and
+a window is rebuilt at about twice its radius only when the path outgrows
+it, so a path of L edges builds O(log L) windows.
 
 The tree reduction runs the opposite direction: on trees, a path-extension
 oracle decides separation.  Testing the two-vertex paths [u, v] right at the
@@ -37,8 +35,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, List, Tuple, Union
+from itertools import chain, islice
+from typing import Callable, List, Optional, Tuple, Union
 
 from .graph_core import (
     CutIndex,
@@ -59,7 +57,7 @@ from .graph_core import (
     edge_induced_vertices,
     edges_at,
 )
-from .separation import boundary_partition
+from .separation import _check_certificate, _window_at, boundary_partition
 
 __all__ = [
     "SimplePath",
@@ -123,9 +121,93 @@ def path_removed_edges(g: GraphOracle, p: SimplePath) -> EdgeSet:
     return frozenset(out)
 
 
-def _escapes_outward(g: GraphOracle, cut: CutIndex, start: VertexId,
+class _Blocked:
+    """G minus the vertices of a simple path growing at its tip: `finite`
+    vertices, base distances off one resumed walk, the farthest one `far` on
+    the graded route (None off it), and on the window route the cover radius
+    r0, the `exits` of the window kept at `radius` and the `escape` to one."""
+
+    def __init__(self, g: GraphOracle, cert: EndsCertificate, fuel: Fuel, start: VertexId):
+        self.g, self.cert, self.fuel = g, cert, fuel
+        self.path, self.on_path, self.finite = [start], {start}, set()
+        self.far = g.base_distance(start) if g.outward_growing else None
+        self.walk, self.dist, self.depth = bfs_layers(g, g.basepoint, {}), {}, -1
+        self.r0 = self.radius = self.exits = None
+        self.escape: List[VertexId] = []  # the tip's way on to an exit, reversed
+
+    def _cover(self, xs, r: Optional[int]) -> Optional[int]:
+        """max(r, the base distance of each x), read off one resumed walk;
+        None past fuel.max_radius."""
+        for x in xs:
+            while x not in self.dist and self.depth < self.fuel.max_radius:
+                self.depth += 1
+                self.dist.update(dict.fromkeys(next(self.walk, ()), self.depth))
+            if r is None or x not in self.dist:
+                return None
+            r = max(r, self.dist[x])
+        return r
+
+    def _around(self, vs):
+        """The vertices vs and their neighbours: the ends of every edge at vs."""
+        return chain(vs, (w for v in vs for w, _ in self.g.neighbors(v)))
+
+    def add(self, v: VertexId) -> None:
+        self.path.append(v)
+        self.on_path.add(v)
+        if self.far is not None:
+            d = self.g.base_distance(v)
+            self.far = None if d is None else max(self.far, d)
+        if self.exits is not None:
+            self.r0 = self._cover(self._around((v,)), self.r0)
+
+    def escapes(self, w: VertexId) -> Union[bool, Unknown]:
+        """Is w, off the path, in an infinite component of G minus the path's
+        vertices?  The graded search, or a search of a window holding r0 and
+        every edge at w, up to its first exit, the only way out.  The first
+        window is built at that radius; one outgrown at radius R gives way
+        to one at max(r0, min(2R, max_radius - 1)).  The search goes depth
+        first, least neighbour first, and keeps the way it found: while the
+        window stays, its rest certifies the next vertex on it."""
+        if self.far is not None:
+            return _escapes_outward(self.g, self.on_path, w, self.far + 2, self.fuel)
+        if self.exits is None:
+            _check_certificate(self.g, self.cert)
+            r = self._cover(edge_induced_vertices(self.cert.witness), 1)
+            self.r0 = self._cover(self._around(self.path), r)
+        need = self._cover(self._around((w,)), self.r0)
+        if self.exits is None or need is None or need > self.radius:
+            if self.exits is not None and need is not None:
+                need = max(need, min(2 * self.radius, self.fuel.max_radius - 1))
+            win = _window_at(self.g, need, self.cert, self.fuel)
+            if isinstance(win, Unknown):
+                return win
+            self.radius, self.exits, self.escape = need, frozenset().union(*win[1]), []
+        if self.escape and self.escape[-1] == w:
+            self.escape.pop()
+            return True
+        came, todo = {}, [(w, w)]  # vertex -> the one it was reached from
+        while todo:
+            x, via = todo.pop()
+            if x in came:
+                continue
+            came[x] = via
+            if x in self.exits:
+                self.escape = []
+                while x != w:
+                    self.escape.append(x)
+                    x = came[x]
+                return True
+            if x in self.finite:
+                break
+            todo.extend((y, x) for y, _ in reversed(self.g.neighbors(x))
+                        if y not in came and y not in self.on_path)
+        self.finite.update(came)
+        return False
+
+
+def _escapes_outward(g: GraphOracle, blocked, start: VertexId,
                      horizon: int, fuel: Fuel) -> Union[bool, Unknown]:
-    """Is start's component of G minus the edges indexed by `cut` infinite?
+    """Is start's component of G minus the vertices `blocked` infinite?
     Exact on outward-growing graded oracles; Unknown(fuel.max_steps) when
     the step budget runs dry or the oracle cannot grade a vertex."""
     d0 = g.base_distance(start)
@@ -141,9 +223,8 @@ def _escapes_outward(g: GraphOracle, cut: CutIndex, start: VertexId,
         negd, v = heapq.heappop(heap)
         if -negd >= horizon:
             return True
-        gone = cut.get(v, {})
-        for w, m in g.neighbors(v):
-            if w in seen or m <= gone.get(w, 0):
+        for w, _ in g.neighbors(v):
+            if w in seen or w in blocked:
                 continue
             dw = g.base_distance(w)
             if dw is None:
@@ -162,7 +243,6 @@ def decide_extendable(g: GraphOracle, p, cert: EndsCertificate,
     and Unknown when the escape search or the window runs out of fuel.
     """
     p = check_simple_path(g, p)
-    removed = path_removed_edges(g, p)
     on_path = set(p.vertices)
     candidates = sorted(w for w, _ in g.neighbors(p.tip) if w not in on_path)
     if not candidates:
@@ -172,17 +252,16 @@ def decide_extendable(g: GraphOracle, p, cert: EndsCertificate,
         dists = [g.base_distance(v) for v in p.vertices]
         if all(d is not None for d in dists):
             horizon = max(dists) + 2
-            cut = cut_index(removed)
             starved = None
             for w in candidates:
-                verdict = _escapes_outward(g, cut, w, horizon, fuel)
+                verdict = _escapes_outward(g, on_path, w, horizon, fuel)
                 if verdict is True:
                     return True
                 if isinstance(verdict, Unknown):
                     starved = verdict
             return False if starved is None else starved
 
-    bp = boundary_partition(g, removed, cert, fuel)
+    bp = boundary_partition(g, path_removed_edges(g, p), cert, fuel)
     if isinstance(bp, Unknown):
         return bp
     surviving = set().union(*bp.infinite_groups) if bp.infinite_groups else set()
@@ -194,34 +273,31 @@ def greedy_infinite_path(g: GraphOracle, start: VertexId,
                          fuel: Fuel = Fuel()) -> Union[SimplePath, Unknown]:
     """Grow a simple path of `length` edges from `start`, never retracting.
 
-    Each step appends the least neighbour whose one-step extension still
-    reaches infinity.  Exactness of decide_extendable is what makes zero
-    backtracking safe.  Raises NoExtension only on an unsound certificate:
-    with finitely many ends a genuinely extendable path always has an
-    extendable extension.
+    Each step appends the least neighbour w of the tip in an infinite
+    component of G minus the path's vertices: exactly when the path plus w
+    extends.  Raises NoExtension only on an unsound certificate: with
+    finitely many ends an extendable path has an extendable extension.
     """
     if not g.contains(start):
         raise InvalidVertex(start)
     if length < 0:
         raise GraphError("length must be >= 0")
-    path = SimplePath((start,))
-    while path.edge_count < length:
-        grew = False
-        for w, _ in g.neighbors(path.tip):
-            if w in path.vertices:
-                continue
-            t = decide_extendable(g, path.extended(w), cert, fuel)
+    ext = _Blocked(g, cert, fuel, start)
+    while len(ext.path) <= length:
+        for w, _ in g.neighbors(ext.path[-1]):
+            if w in ext.on_path or all(x in ext.on_path or x == w for x, _ in g.neighbors(w)):
+                continue  # on the path, or a dead end: no window needed
+            t = ext.escapes(w)
             if isinstance(t, Unknown):
                 return t
             if t:
-                path = path.extended(w)
-                grew = True
+                ext.add(w)
                 break
-        if not grew:
+        else:
             raise NoExtension(
-                "no extendable neighbour at %r after %d edges; "
-                "the ends certificate must be unsound" % (path.tip, path.edge_count))
-    return path
+                "no extendable neighbour at %r after %d edges; the ends "
+                "certificate must be unsound" % (ext.path[-1], len(ext.path) - 1))
+    return SimplePath(tuple(ext.path))
 
 
 def _tree_layers(g: GraphOracle, a: VertexId, targets,

@@ -248,21 +248,27 @@ def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel)
     their group count only falls as the stage grows and is k at n, so a
     second split stops by n with the same groups and no finite reach.
     Boundary vertices of one component need not reconnect inside U:
-    `_window_classes` joins them.  The window depends on e only through r0,
-    so the oracle keeps the last one built (or Unknown) under (cert, r0,
-    fuel), read-only; raises are not kept.
+    `_window_classes` joins them.
     """
+    return _window_at(g, _cover_radius(g, e | cert.witness, fuel), cert, fuel)
+
+
+def _window_at(g: GraphOracle, r0: Optional[int], cert: EndsCertificate, fuel: Fuel):
+    """The window of `_build_window` for every removal of cover radius r0
+    (None: past fuel.max_radius), kept read-only in the oracle's slot under
+    (cert, r0, fuel) with its Unknown; raises are not kept."""
     k = cert.ends
-    r0 = _cover_radius(g, e | cert.witness, fuel)
     if g._window[0] == (cert, r0, fuel):
         return g._window[1]
     win = Unknown(fuel.max_radius)
-    if (r0 is not None
-            and _stable_partition(g, ball(g, g.basepoint, r0).edges, k, fuel) is not None
-            and r0 + 1 <= fuel.max_radius):
-        w = ball(g, g.basepoint, r0 + 1).edges
-        got = _stable_partition(g, w, k, fuel)
-        win = win if got is None else (w.union(*got[1].values()), got[0])
+    if r0 is not None:
+        # one walk gives ball(r0) as well; never past the radius budget
+        outer = ball(g, g.basepoint, min(r0 + 1, fuel.max_radius))
+        inner = frozenset(e for e in outer.edges
+                          if max(outer.distances[e.u], outer.distances[e.v]) <= r0)
+        if _stable_partition(g, inner, k, fuel) is not None and r0 + 1 <= fuel.max_radius:
+            got = _stable_partition(g, outer.edges, k, fuel)
+            win = win if got is None else (outer.edges.union(*got[1].values()), got[0])
     g._window = (cert, r0, fuel), win
     return win
 

@@ -28,25 +28,30 @@ class PendantLine(GraphOracle):
 
 
 class LollipopLine(GraphOracle):
-    """Half line with a finite cycle 0-(-1)-(-2)-0 glued at the origin.
+    """Half line with a finite cycle at-(-1)-(-2)-at glued at vertex `at`,
+    the origin by default.
 
     Gives a graph where a single edge removal on the cycle never separates
     and where small windows contain a finite blob.
     """
+
+    def __init__(self, at=0):
+        super().__init__()
+        self.at = at
 
     def contains(self, v):
         return v >= -2
 
     def _neighbors(self, v):
         if v == -1:
-            return [(-2, 1), (0, 1)]
+            return [(-2, 1), (self.at, 1)]
         if v == -2:
-            return [(-1, 1), (0, 1)]
-        if v == 0:
-            return [(-2, 1), (-1, 1), (1, 1)]
+            return [(-1, 1), (self.at, 1)]
         out = [(v + 1, 1)]
         if v >= 1:
             out.append((v - 1, 1))
+        if v == self.at:
+            out = [(-2, 1), (-1, 1)] + out
         return out
 
 

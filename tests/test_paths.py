@@ -1,6 +1,8 @@
 """Path extension decisions, greedy growth, and the tree reduction."""
 
+import math
 import random
+from functools import partial
 
 import pytest
 
@@ -12,6 +14,8 @@ from graphends.graph_core import (
     NoExtension,
     NotASimplePath,
     Unknown,
+    UnsoundCertificateDetected,
+    ball,
     edge,
     edge_set,
 )
@@ -24,6 +28,7 @@ from graphends.gadgets import (
     LinesWithSticks,
     NatLine,
     OneWayMulti,
+    parse_graph_spec,
     tree_lambda,
 )
 from graphends.paths import (
@@ -170,6 +175,13 @@ def test_extendable_against_brute_on_core_plus_rays(seed, k):
         assert decide_extendable(g, p, cert) is want, walk
 
 
+def test_extendable_two_candidates_in_one_finite_piece():
+    # past 1, 0's neighbours -2 and -1 both lie on the finite cycle piece;
+    # greedy's search from -2 finds it finite, and -1 meets what it marked
+    assert decide_extendable(LollipopLine(), [1, 0], ONE_END) is False
+    assert greedy_infinite_path(LollipopLine(), 0, ONE_END, 3).vertices == (0, 1, 2, 3)
+
+
 def test_extendable_unknown_on_tiny_fuel():
     g = CycleChain(CeEnumeration((2, 5)))
     cert = EndsCertificate(2, edge_set([(7, 8), (-8, -7)]))
@@ -231,10 +243,129 @@ def test_greedy_no_extension_when_decider_rejects_everything(monkeypatch):
     # only an unsound certificate can corner the walk; simulate that by
     # making the decider reject every candidate
     import graphends.paths as paths_mod
-    monkeypatch.setattr(paths_mod, "decide_extendable",
-                        lambda *a, **k: False)
+    monkeypatch.setattr(paths_mod._Blocked, "escapes", lambda *a, **k: False)
     with pytest.raises(NoExtension):
         greedy_infinite_path(NatLine(), 0, ONE_END, 3)
+
+
+def _stepwise_greedy(g, start, cert, length, fuel=Fuel()):
+    """The builder as one decision about the whole path per candidate: the
+    least neighbour w of the tip such that decide_extendable(path + w)."""
+    path = [start]
+    while len(path) <= length:
+        for w, _ in g.neighbors(path[-1]):
+            if w in path:
+                continue
+            t = decide_extendable(g, path + [w], cert, fuel)
+            if isinstance(t, Unknown):
+                return t
+            if t:
+                path.append(w)
+                break
+        else:
+            raise NoExtension(path)
+    return SimplePath(tuple(path))
+
+
+# one member of every stock family with finitely many ends, and its ends
+STOCK_SPECS = {
+    "nat-line": 1, "int-line": 2, "cycle-chain:events@2,5": 2, "cycle-chain:events-all": 1,
+    "rays3:events@1,3": 4, "one-way-multi:events@2,5": 2, "doubled-chain:events@1,3": 2,
+    "sigma21-line:changes@2,5": 1, "pi1-line:halt@3": 1, "delta2:changes@2,5": 2,
+    "lines-with-sticks:halt@3": 2, "comb:3,never,2": 2, "lambda": 1,
+}
+
+
+def _stock_case(spec):
+    # the radius-6 ball holds a maximal-separation witness of each member
+    g, k = parse_graph_spec(spec), STOCK_SPECS[spec]
+    return g, g.basepoint, EndsCertificate(k, ball(g, g.basepoint, 6).edges if k > 1 else ())
+
+
+def _rays_case(seed, k):
+    g = CorePlusRays(seed, size=4, k=k)
+    return g, g.basepoint, EndsCertificate(k, g.ray_edges)
+
+
+def _one_end_case(make):
+    g = make()
+    return g, g.basepoint, ONE_END
+
+
+GREEDY_CASES = {spec: partial(_stock_case, spec) for spec in STOCK_SPECS}
+GREEDY_CASES.update({"core-plus-rays-%d-%d" % (seed, k): partial(_rays_case, seed, k)
+                     for seed in (1, 2, 3, 4) for k in (1, 2, 3)})
+GREEDY_CASES.update({name: partial(_one_end_case, make) for name, make in [
+    ("pendant-line", PendantLine), ("lollipop-line", LollipopLine), ("tree-lambda", tree_lambda),
+    # the cycle past the first escape: the way out found from 1 runs
+    # through 3, whose least neighbour -2 is finite and must be asked
+    ("lollipop-line-at-3", partial(LollipopLine, at=3))]})
+
+
+def test_greedy_matches_the_stepwise_builder():
+    """The incremental builder, against one whole-path decision per
+    candidate, on fresh oracles: the same vertices at every length."""
+    for name, make in GREEDY_CASES.items():
+        g, start, cert = make()
+        want = _stepwise_greedy(g, start, cert, 40).vertices
+        for length in (0, 1, 17, 40):
+            g, start, cert = make()
+            got = greedy_infinite_path(g, start, cert, length)
+            assert got.vertices == want[:length + 1], (name, length)
+
+
+@pytest.mark.parametrize("cert", [
+    EndsCertificate(2),  # an empty witness cannot leave two components
+    EndsCertificate(3, edge_set([(7, 8), (-8, -7)])),  # an end too many
+    # leaves one infinite component; only the split of ball(r0) sees it
+    EndsCertificate(2, edge_set([(1, 2), (4, 5)])),
+])
+def test_greedy_raises_on_the_first_window_as_the_stepwise_builder_does(cert):
+    for build in (greedy_infinite_path, _stepwise_greedy):
+        with pytest.raises(UnsoundCertificateDetected):
+            build(parse_graph_spec("cycle-chain:events@2,5"), 0, cert, 24)
+
+
+def test_greedy_builds_its_first_window_where_the_stepwise_builder_does(monkeypatch):
+    # the least neighbour of 0 is the pendant -1, a dead end that needs no
+    # window; the first one covers every edge at 0 and 1, so r0 = 2
+    import graphends.paths as paths_mod
+    import graphends.separation as sep
+    radii, real = [], sep._window_at
+    for mod in (paths_mod, sep):
+        monkeypatch.setattr(mod, "_window_at",
+                            lambda g, r0, *a: radii.append(r0) or real(g, r0, *a))
+    for build in (_stepwise_greedy, greedy_infinite_path):
+        radii.clear()
+        assert build(PendantLine(at=0), 0, ONE_END, 4).vertices == (0, 1, 2, 3, 4)
+        assert radii[0] == 2, build
+
+
+@pytest.mark.parametrize("length", [24, 100])
+def test_greedy_builds_one_window_per_doubling(monkeypatch, length):
+    # the whole-path decisions build one window per step (16 and 92)
+    import graphends.separation as sep
+    splits, real = [], sep._stable_partition
+    monkeypatch.setattr(sep, "_stable_partition", lambda *a: splits.append(a) or real(*a))
+    g = parse_graph_spec("cycle-chain:events@2,5")
+    cert = EndsCertificate(2, edge_set([(7, 8), (-8, -7)]))
+    got = greedy_infinite_path(g, 0, cert, length, Fuel(max_radius=2 * length))
+    assert got.edge_count == length
+    assert len(splits) % 2 == 0  # ball(r) and ball(r + 1) for each window
+    assert len(splits) // 2 <= math.ceil(math.log2(length)) + 2
+
+
+def test_greedy_fuel_boundaries():
+    # the window branch: the last window needs ball(24), the budget's edge
+    chain = partial(parse_graph_spec, "cycle-chain:events@2,5")
+    cert = EndsCertificate(2, edge_set([(7, 8), (-8, -7)]))
+    assert greedy_infinite_path(chain(), 0, cert, 24, Fuel(max_radius=24)).edge_count == 24
+    assert greedy_infinite_path(chain(), 0, cert, 24, Fuel(max_radius=23)) == Unknown(23)
+    # the graded branch on lambda: one escape search takes five steps
+    lam = tree_lambda()
+    got = greedy_infinite_path(lam, lam.basepoint, ONE_END, 24, Fuel(max_steps=5))
+    assert got.edge_count == 24
+    assert greedy_infinite_path(lam, lam.basepoint, ONE_END, 24, Fuel(max_steps=4)) == Unknown(4)
 
 
 # ---------------------------------------------------------------------------
