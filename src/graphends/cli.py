@@ -136,12 +136,12 @@ def _certificate(g, args, fuel: Fuel) -> EndsCertificate:
 
 
 def _auto_witness(g, ends: int, fuel: Fuel) -> EdgeSet:
-    """Search for a maximal-separation witness, then certify it.
+    """Search for a maximal-separation witness, then check it.
 
     The shell scan probes candidates with a radius-bounded component
-    approximation, which can overshoot; the final decide_comp pass with the
-    candidate as its own certificate is exact, so a bogus candidate is
-    rejected rather than reported.
+    approximation; decide_comp, with the candidate as its own certificate,
+    then rejects those it refutes.  Both see only the radius budget, so a
+    finite piece deeper than it passes for an infinite one.
     """
     if ends == 1:
         return frozenset()

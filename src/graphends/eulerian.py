@@ -19,27 +19,25 @@ set) is definite either way, but a Holds is only issued when every clause
 was covered by a certificate and the final sweep was exhaustive.
 
 The even-separator sweep enumerates the even-degree-inducing edge sets
-inside a ball -- exactly the GF(2) span of the fundamental cycles, where
-parallel copies contribute two-edge cycles and loops one-edge cycles.  One
-decision window is prepared for the whole ball (see separation.comp_counter)
-and every candidate is counted against it, so the sweep stays exact while
-doing its per-candidate work on a small finite graph.  The sweep factorizes
-over bridge-free blocks (see _cycle_blocks): cycles never cross bridges, so
-the subset budget applies per block, not to the whole ball's cycle space.
-When some block is still too large to exhaust, only its single and double
-basis sums are probed: still sound for refutation, never enough for Holds.
+inside a ball: the GF(2) span of the fundamental cycles, where parallel
+copies give two-edge cycles and loops one-edge cycles.  One basis is
+computed per sweep and split by bridge-free block (see _cycle_blocks);
+cycles never cross bridges, so the subset budget applies per block.  A
+block too large to exhaust gives only its single and double basis sums:
+sound for refutation, never enough for Holds.  The candidates of all
+blocks are counted in one size-lex order against one decision window for
+the whole ball (see separation.comp_counter), so the sweep stays exact
+while its per-candidate work runs on a small finite graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph_core import (
     DisjointSets,
     EdgeRef,
-    EdgeSet,
     EndsCertificate,
     Fuel,
     GraphError,
@@ -170,41 +168,33 @@ def cycle_space_basis(edges: Sequence[EdgeRef]) -> List[int]:
 
     Spanning-forest construction: each non-forest edge closes one
     fundamental cycle.  A loop is its own one-edge cycle; a parallel copy
-    closes a two-edge cycle with its sibling.
+    closes a two-edge cycle with its sibling.  With up[x] x's forest path
+    to its root, non-forest edge i = (u, v) closes 1<<i ^ up[u] ^ up[v].
     """
-    index = {e: i for i, e in enumerate(edges)}
     forest = DisjointSets(v for e in edges for v in (e.u, e.v))
     forest_adj: Dict[VertexId, List[Tuple[VertexId, int]]] = {v: [] for v in forest.parent}
-    basis: List[int] = []
-    for e in edges:
-        i = index[e]
-        if e.u == e.v:
-            basis.append(1 << i)
-            continue
+    closing = []
+    for i, e in enumerate(edges):
         if forest.union(e.u, e.v):
             forest_adj[e.u].append((e.v, i))
             forest_adj[e.v].append((e.u, i))
-            continue
-        # fundamental cycle: this edge plus the forest path between its ends
-        mask = 1 << i
-        back: Dict[VertexId, Tuple[Optional[VertexId], int]] = {e.u: (None, -1)}
-        q = deque([e.u])
-        while e.v not in back:
-            x = q.popleft()
-            for y, j in forest_adj[x]:
-                if y not in back:
-                    back[y] = (x, j)
-                    q.append(y)
-        x = e.v
-        while back[x][0] is not None:
-            x, j = back[x]
-            mask ^= 1 << j
-        basis.append(mask)
-    return basis
+        else:
+            closing.append((i, e))
+    up: Dict[VertexId, int] = {}
+    for root in forest_adj:
+        if root not in up:
+            up[root], stack = 0, [root]
+            while stack:
+                x = stack.pop()
+                for y, j in forest_adj[x]:
+                    if y not in up:
+                        up[y] = up[x] ^ 1 << j
+                        stack.append(y)
+    return [1 << i ^ up[e.u] ^ up[e.v] for i, e in closing]
 
 
-def _cycle_blocks(edges: Sequence[EdgeRef]):
-    """Group a region's edges into bridge-free blocks for the even-set sweep.
+def _cycle_blocks(edges: Sequence[EdgeRef]) -> List[List[int]]:
+    """A sorted region's cycle-space basis, grouped by bridge-free block.
 
     Two edges share a block when a chain of fundamental cycles links them,
     which happens exactly when some simple cycle contains both.  The
@@ -213,40 +203,49 @@ def _cycle_blocks(edges: Sequence[EdgeRef]):
     pieces separates on its own: bridges survive every even removal, so
     disconnection happens inside one block either way.  The smallest
     separating set is in particular always single-block (a multi-block one
-    has a strictly smaller separating piece), so sweeping the blocks
-    independently and merging candidates in size-lex order reproduces the
-    monolithic sweep's verdict *and* its reported witness, while the
-    exhaustion budget applies to each block's dimension instead of their
-    sum.  Bridges lie in no cycle and drop out entirely.
-
-    Returns [(block_edges, block_dimension)], ordered by least edge.
+    has a strictly smaller separating piece), so sweeping the blocks'
+    spans in one size-lex order reproduces the monolithic sweep's verdict
+    *and* its witness, while the exhaustion budget applies to each block's
+    dimension instead of their sum.  The forest restricted to a block is
+    the one the block grows alone, so each group is the block's own basis.
     """
-    edges = sorted(edges)
     basis = cycle_space_basis(edges)
     blocks = DisjointSets(range(len(edges)))
     for mask in basis:
-        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        for j in bits[1:]:
-            blocks.union(j, bits[0])
-    dims: Dict[int, int] = {}
+        low, rest = (mask & -mask).bit_length() - 1, mask & mask - 1
+        while rest:
+            blocks.union(low, (rest & -rest).bit_length() - 1)
+            rest &= rest - 1
+    groups: Dict[int, List[int]] = {}
     for mask in basis:
-        r = blocks.find((mask & -mask).bit_length() - 1)
-        dims[r] = dims.get(r, 0) + 1
-    groups: Dict[int, List[EdgeRef]] = {}
-    for i, e in enumerate(edges):
-        r = blocks.find(i)
-        if r in dims:
-            groups.setdefault(r, []).append(e)
-    return [(groups[r], dims[r])
-            for r in sorted(groups, key=lambda r: groups[r][0])]
+        groups.setdefault(blocks.find((mask & -mask).bit_length() - 1), []).append(mask)
+    return list(groups.values())
 
 
-def _mask_edges(mask: int, edges: Sequence[EdgeRef]) -> Tuple[EdgeRef, ...]:
-    return tuple(e for i, e in enumerate(edges) if mask >> i & 1)
-
-
-def _size_lex_order(masks, edges):
-    return sorted(set(masks), key=lambda m: (bin(m).count("1"), _mask_edges(m, edges)))
+def _even_sets(edges: Sequence[EdgeRef], bases, cap: int) -> List[Tuple[EdgeRef, ...]]:
+    """Nonzero even-inducing sets spanned by each basis in `bases` (bitmasks
+    over the sorted `edges`), as sorted edge tuples, smallest first (by
+    edge count, then lexicographically).  A basis of at most `cap` cycles
+    gives its whole span; a larger one only its single and double sums --
+    a refutation-hunting sample, not the whole space."""
+    masks = set()
+    for basis in bases:
+        if len(basis) <= cap:
+            span = [0]
+            for b in basis:
+                span += [m ^ b for m in span]
+        else:
+            span = basis + [a ^ b for k, a in enumerate(basis) for b in basis[k + 1:]]
+        masks.update(span)
+    masks.discard(0)
+    sets = []
+    for m in masks:
+        members = []
+        while m:
+            members.append(edges[(m & -m).bit_length() - 1])
+            m &= m - 1
+        sets.append(tuple(members))
+    return sorted(sets, key=lambda t: (len(t), t))
 
 
 def even_inducing_sets(edges: Sequence[EdgeRef], exhaustive: bool = True):
@@ -258,18 +257,10 @@ def even_inducing_sets(edges: Sequence[EdgeRef], exhaustive: bool = True):
     """
     edges = sorted(edges)
     basis = cycle_space_basis(edges)
-    if exhaustive:
-        if len(basis) > 22:
-            raise GraphError(
-                "cycle space has dimension %d; pass exhaustive=False" % len(basis))
-        masks = [0]
-        for b in basis:
-            masks += [m ^ b for m in masks]
-    else:
-        masks = list(basis)
-        masks += [a ^ b for k, a in enumerate(basis) for b in basis[k + 1:]]
-    out = [edge_set(_mask_edges(m, edges)) for m in _size_lex_order(masks, edges) if m]
-    return out
+    if exhaustive and len(basis) > 22:
+        raise GraphError(
+            "cycle space has dimension %d; pass exhaustive=False" % len(basis))
+    return [edge_set(t) for t in _even_sets(edges, [basis], len(basis) if exhaustive else -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +332,17 @@ def check_two_way(g: GraphOracle, ends_cert: EndsCertificate,
     # candidate ball; the decision window needs the remaining headroom.
     sr = loc_cert.radius if loc_cert else fuel.max_radius // 2
     region = sorted(ball(g, g.basepoint, sr).edges)
-    blocks = _cycle_blocks(region)
-    exhaustive = all(dim <= _SWEEP_DIM_CAP for _b, dim in blocks)
+    bases = _cycle_blocks(region)
+    exhaustive = all(len(b) <= _SWEEP_DIM_CAP for b in bases)
     count = comp_counter(g, frozenset(region), ends_cert, fuel)
     if isinstance(count, Unknown):
         return EulerVerdict.unknown(fuel_spent=fuel.max_radius,
                                     certified=tuple(certified),
                                     searched=tuple(searched) + ("separator-window",))
 
-    candidates: List[EdgeSet] = []
-    for block, dim in blocks:
-        candidates += even_inducing_sets(block, exhaustive=dim <= _SWEEP_DIM_CAP)
-    candidates.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    for cand in candidates:
+    for cand in _even_sets(region, bases, _SWEEP_DIM_CAP):
         if count(cand) >= 2:
-            return EulerVerdict.fails(NO_EVEN_SEPARATOR_CLAUSE,
-                                      witness=tuple(sorted(cand)),
+            return EulerVerdict.fails(NO_EVEN_SEPARATOR_CLAUSE, witness=cand,
                                       certified=tuple(certified),
                                       searched=tuple(searched))
 

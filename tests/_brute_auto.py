@@ -22,6 +22,8 @@ Counting here is per *word*. Compare against the library only on
 presentations whose equality is the identity (normalized ones qualify).
 """
 
+from itertools import zip_longest
+
 from graphends.automatic import parse_formula
 
 PAD = "#"
@@ -95,7 +97,8 @@ class BruteModel:
         hit = self._memo.get(key)
         if hit is None:
             rel = self.p.adjacency if which == "adj" else self.p.equality
-            hit = run_dfa(rel.dfa, convolution((u, v)))
+            # the convolution of (u, v), one symbol at a time
+            hit = run_dfa(rel.dfa, zip_longest(u, v, fillvalue=PAD))
             self._memo[key] = hit
         return hit
 

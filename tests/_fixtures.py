@@ -97,6 +97,23 @@ class LoopyLine(GraphOracle):
         return [(v - 1, 1), (v + 1, 1)]
 
 
+class RayWithTail(GraphOracle):
+    """Ray 0-1-2-... with a path 0-(-1)-...-(-L) hung at 0: one end, the
+    ray from -L seen from vertex 0.  A tail longer than a search's radius
+    budget looks like a second ray to every search bounded by that budget.
+    """
+
+    def __init__(self, length):
+        super().__init__()
+        self.length = length
+
+    def contains(self, v):
+        return v >= -self.length
+
+    def _neighbors(self, v):
+        return [(v - 1, 1), (v + 1, 1)] if v > -self.length else [(v + 1, 1)]
+
+
 class CorePlusRays(GraphOracle):
     """A seeded random finite core with k one-way rays attached: k ends.
 

@@ -2,10 +2,13 @@
 
 import pytest
 
-from graphends.cli import fmt_edges, main, parse_edges, parse_vertex_list
+from graphends.cli import (OutOfFuel, _auto_witness, fmt_edges, main, parse_edges,
+                           parse_vertex_list)
 from graphends.gadgets import GADGET_KINDS
-from graphends.graph_core import edge, edge_set
+from graphends.graph_core import Fuel, edge, edge_set
 from graphends.automatic import grid_presentation, serialize_presentation
+
+from _fixtures import RayWithTail
 
 
 @pytest.fixture
@@ -157,6 +160,14 @@ def test_auto_witness_is_resolved_and_reusable(cli):
     again, _ = cli("greedy-path", "--graph", "int-line", "--length", "6",
                    "--ends", "2", "--witness", literal)
     assert last_line(again) == last_line(out)
+
+
+def test_the_auto_witness_is_checked_only_to_the_radius_budget():
+    # one end, wrongly claimed as two: a tail within the default budget of
+    # 64 is seen to end, one past it passes for a second ray
+    with pytest.raises(OutOfFuel):
+        _auto_witness(RayWithTail(10), 2, Fuel())
+    assert _auto_witness(RayWithTail(100), 2, Fuel()) == edge_set([(-1, 0), (0, 1)])
 
 
 def test_header_lists_the_inputs(cli):

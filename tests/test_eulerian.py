@@ -1,10 +1,13 @@
 """Eulerian-condition checkers: parity scans, even-set sweeps, verdicts."""
 
 import itertools
+import random
+from collections import deque
 
 import pytest
 
 from graphends.graph_core import (
+    DisjointSets,
     EndsCertificate,
     Fuel,
     GraphError,
@@ -23,7 +26,9 @@ from graphends.gadgets import (
     NatLine,
     Pi1Line,
     Sigma21Line,
+    parse_graph_spec,
 )
+from graphends import eulerian
 from graphends.eulerian import (
     ALL_EVEN_CLAUSE,
     ENDS_AT_MOST_TWO_CLAUSE,
@@ -41,6 +46,8 @@ from graphends.eulerian import (
 from graphends.separation import comp_counter, decide_comp
 
 from _brute import brute_components, label_sign
+from _fixtures import CorePlusRays, LoopyLine
+from test_paths import STOCK_SPECS
 
 ONE_END = EndsCertificate(1)
 
@@ -314,3 +321,153 @@ def test_comp_counter_agrees_with_brute_on_doubled_chain():
         assert count(e) == truth, e
     with pytest.raises(GraphError):
         count(edge_set([(40, 41, 0)]))
+
+
+def test_the_sweep_cap_is_a_per_block_boundary(monkeypatch):
+    """At localization radius 12 the largest block of this region has
+    dimension 10: a cap of 10 still exhausts it and certifies the
+    localization clause, a cap of 9 truncates the sweep and never holds.
+    A refutation found on the sampled route reports the exhaustive one's
+    witness."""
+    g = Delta2TwoEnded(LimitApprox((2, 5, 9)))
+    cert = EndsCertificate(2, edge_set([(10, 11), (-11, -10)]))
+    monkeypatch.setattr(eulerian, "_SWEEP_DIM_CAP", 10)
+    v = check_two_way(g, cert, ParityCertificate(12), LocalizationCertificate(12))
+    assert v.is_holds and "separator-localization" in v.certified, v
+    monkeypatch.setattr(eulerian, "_SWEEP_DIM_CAP", 9)
+    v = check_two_way(g, cert, ParityCertificate(12), LocalizationCertificate(12))
+    assert not v.is_holds and "even-separator-sweep-truncated" in v.searched, v
+
+    # the doubled chain's radius-6 region has blocks of dimension 1, 1, 6, 8
+    g = Doubled(CycleChain(CeEnumeration((2, 5))))
+    verdicts = []
+    for cap in (8, 7, 0):
+        monkeypatch.setattr(eulerian, "_SWEEP_DIM_CAP", cap)
+        verdicts.append(check_two_way(g, doubled_chain_cert(), ParityCertificate(6),
+                                      LocalizationCertificate(6)))
+    assert verdicts[0].is_fails and verdicts[0].reason == NO_EVEN_SEPARATOR_CLAUSE
+    assert verdicts[0].witness == (edge(-6, 5), edge(-6, 5, 1))
+    assert verdicts[1:] == verdicts[:1] * 2
+
+
+# ---------------------------------------------------------------------------
+# the one-pass sweep against the per-block pipeline it replaced
+# ---------------------------------------------------------------------------
+
+def _bfs_basis(edges):
+    """Fundamental cycles with one forest search per non-forest edge."""
+    index = {e: i for i, e in enumerate(edges)}
+    forest = DisjointSets(v for e in edges for v in (e.u, e.v))
+    adj = {v: [] for v in forest.parent}
+    basis = []
+    for e in edges:
+        i = index[e]
+        if e.u == e.v:
+            basis.append(1 << i)
+            continue
+        if forest.union(e.u, e.v):
+            adj[e.u].append((e.v, i))
+            adj[e.v].append((e.u, i))
+            continue
+        mask, back, q = 1 << i, {e.u: (None, -1)}, deque([e.u])
+        while e.v not in back:
+            x = q.popleft()
+            for y, j in adj[x]:
+                if y not in back:
+                    back[y] = (x, j)
+                    q.append(y)
+        x = e.v
+        while back[x][0] is not None:
+            x, j = back[x]
+            mask ^= 1 << j
+        basis.append(mask)
+    return basis
+
+
+def _block_edges(edges):
+    """[(block edges, block dimension)] of a sorted region."""
+    blocks = DisjointSets(range(len(edges)))
+    basis = _bfs_basis(edges)
+    for mask in basis:
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        for j in bits[1:]:
+            blocks.union(j, bits[0])
+    dims, groups = {}, {}
+    for mask in basis:
+        r = blocks.find((mask & -mask).bit_length() - 1)
+        dims[r] = dims.get(r, 0) + 1
+    for i, e in enumerate(edges):
+        if blocks.find(i) in dims:
+            groups.setdefault(blocks.find(i), []).append(e)
+    return [(groups[r], dims[r]) for r in sorted(groups, key=lambda r: groups[r][0])]
+
+
+def _block_even_sets(edges, exhaustive):
+    edges = sorted(edges)
+    basis = _bfs_basis(edges)
+    if exhaustive:
+        masks = [0]
+        for b in basis:
+            masks += [m ^ b for m in masks]
+    else:
+        masks = basis + [a ^ b for k, a in enumerate(basis) for b in basis[k + 1:]]
+    sets = {tuple(e for i, e in enumerate(edges) if m >> i & 1) for m in masks if m}
+    return [edge_set(t) for t in sorted(sets, key=lambda t: (len(t), t))]
+
+
+def _per_block_sweep(region, cap):
+    """The candidates and the exhaustive flag of a sweep that sweeps every
+    block on its own and merges the blocks' candidates by one sort."""
+    blocks = _block_edges(region)
+    candidates = []
+    for block, dim in blocks:
+        candidates += _block_even_sets(block, dim <= cap)
+    candidates.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    return [tuple(sorted(s)) for s in candidates], all(d <= cap for _b, d in blocks)
+
+
+def _sweep_graphs():
+    yield from ((spec, parse_graph_spec(spec)) for spec in STOCK_SPECS)
+    yield "delta2:changes@1,2,3,4,5", parse_graph_spec("delta2:changes@1,2,3,4,5")
+    yield "loopy-line", LoopyLine()
+    yield from (("core-plus-rays-%d" % s, CorePlusRays(s, k=2)) for s in (1, 2, 3, 4))
+
+
+def test_one_pass_sweep_against_the_per_block_pipeline():
+    rng = random.Random(5)
+    for name, g in _sweep_graphs():
+        for r in range(1, 9):
+            region = sorted(ball(g, g.basepoint, r).edges)
+            if len(region) > 100:
+                break  # lambda past radius 3: thousands of double sums
+            for order in (region, rng.sample(region, len(region)),
+                          rng.sample(region, len(region))):
+                assert cycle_space_basis(order) == _bfs_basis(order), (name, r)
+            bases = eulerian._cycle_blocks(region)
+            dim = sum(map(len, bases))
+            for cap in (0, 1, 2, 3, 16):
+                if cap == 16 and dim > 20:
+                    continue
+                got = (eulerian._even_sets(region, bases, cap),
+                       all(len(b) <= cap for b in bases))
+                assert got == _per_block_sweep(region, cap), (name, r, cap)
+            assert even_inducing_sets(region, False) == _block_even_sets(region, False)
+            if dim <= 12:
+                assert even_inducing_sets(region) == _block_even_sets(region, True)
+
+
+def test_one_two_way_check_computes_one_basis(monkeypatch):
+    calls = []
+
+    def counted(edges):
+        calls.append(len(edges))
+        return cycle_space_basis(edges)
+
+    monkeypatch.setattr(eulerian, "cycle_space_basis", counted)
+    v = check_two_way(Doubled(CycleChain(CeEnumeration((2, 5)))), doubled_chain_cert(),
+                      ParityCertificate(2), LocalizationCertificate(7))
+    assert v.is_fails and len(calls) == 1
+    v = check_two_way(Delta2TwoEnded(LimitApprox((2, 5, 9))),
+                      EndsCertificate(2, edge_set([(10, 11), (-11, -10)])),
+                      ParityCertificate(12), LocalizationCertificate(12))
+    assert v.is_holds and len(calls) == 2
