@@ -153,7 +153,19 @@ def semidecide_not_separating(g: GraphOracle, e: EdgeSet,
 # the stable partition machine
 # ---------------------------------------------------------------------------
 
-def _stable_partition(g: GraphOracle, wp: EdgeSet, k: int, fuel: Fuel):
+def _ball_rim(g: GraphOracle, dist: Dict[VertexId, int], r: int):
+    """A split's (cut, sorted boundary) for ball(r).edges, r >= 1, read off
+    layer r of a basepoint distance map `dist` holding every vertex within r
+    (see `_stable_partition`)."""
+    cut, bnd = {}, []
+    for v in sorted(x for x, d in dist.items() if d == r):
+        cut[v] = {w: m for w, m in g.neighbors(v) if dist.get(w, r + 1) <= r}
+        if len(cut[v]) < len(g.neighbors(v)):
+            bnd.append(v)
+    return cut, bnd
+
+
+def _stable_partition(g: GraphOracle, wp: EdgeSet, k: int, fuel: Fuel, rim=None):
     """Partition the boundary vertices of `wp` by infinite component.
 
     Requires that G minus `wp` has exactly k infinite components (true for
@@ -172,9 +184,16 @@ def _stable_partition(g: GraphOracle, wp: EdgeSet, k: int, fuel: Fuel):
 
     Returns (groups, finite_reach) or None when fuel runs out; finite_reach
     maps each finite-side boundary vertex to its component's full edge set.
+
+    `rim`, for wp = ball(r).edges, is `_ball_rim`'s (cut, boundary) at r;
+    without it both come from wp.  Layer r is enough: only a layer-r vertex
+    keeps an edge outside wp, to a neighbour farther out or missing from the
+    distance map (the boundary); and a search of G minus wp from layer r
+    never comes closer than r, every edge down to layer r - 1 being in wp,
+    so its cut is layer r's neighbours within r, at full multiplicity.
     """
-    cut = cut_index(wp)
-    bnd = _boundary_vertices(g, wp, cut)
+    cut = rim[0] if rim else cut_index(wp)
+    bnd = rim[1] if rim else _boundary_vertices(g, wp, cut)
     searches = {v: bfs_layers(g, v, cut) for v in bnd}
     balls = {v: set(next(searches[v])) for v in bnd}   # layers 0..n-1
     rims = {v: next(searches[v], []) for v in bnd}     # layer n
@@ -256,7 +275,10 @@ def _build_window(g: GraphOracle, e: EdgeSet, cert: EndsCertificate, fuel: Fuel)
 def _window_at(g: GraphOracle, r0: Optional[int], cert: EndsCertificate, fuel: Fuel):
     """The window of `_build_window` for every removal of cover radius r0
     (None: past fuel.max_radius), kept read-only in the oracle's slot under
-    (cert, r0, fuel) with its Unknown; raises are not kept."""
+    (cert, r0, fuel) with its Unknown; raises are not kept.
+
+    Both splits read their `_ball_rim` off the one basepoint walk; for
+    ball(r0 + 1), a neighbour missing from that walk is farther out."""
     k = cert.ends
     if g._window[0] == (cert, r0, fuel):
         return g._window[1]
@@ -266,8 +288,10 @@ def _window_at(g: GraphOracle, r0: Optional[int], cert: EndsCertificate, fuel: F
         outer = ball(g, g.basepoint, min(r0 + 1, fuel.max_radius))
         inner = frozenset(e for e in outer.edges
                           if max(outer.distances[e.u], outer.distances[e.v]) <= r0)
-        if _stable_partition(g, inner, k, fuel) is not None and r0 + 1 <= fuel.max_radius:
-            got = _stable_partition(g, outer.edges, k, fuel)
+        rim = _ball_rim(g, outer.distances, r0)
+        if _stable_partition(g, inner, k, fuel, rim) is not None and r0 + 1 <= fuel.max_radius:
+            rim = _ball_rim(g, outer.distances, r0 + 1)
+            got = _stable_partition(g, outer.edges, k, fuel, rim)
             win = win if got is None else (outer.edges.union(*got[1].values()), got[0])
     g._window = (cert, r0, fuel), win
     return win

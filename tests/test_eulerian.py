@@ -273,6 +273,25 @@ def test_two_way_without_localization_is_unknown():
     assert "separator-localization" in v.searched
 
 
+def test_a_localization_radius_too_small_is_trusted():
+    """The localization certificate is trusted, not checked.  The doubled
+    pair (-6, 5) is an even set that separates, but it reaches past radius
+    5, so the sweep of the radius-5 ball finds nothing and certifies the
+    clause.  Every finite cut that separates the two ends of an all-even
+    graph has one parity; here it is even, so some even set separates.  A
+    gate on that cut parity will turn the radius-5 case into
+    UnsoundCertificateDetected."""
+    g = Doubled(CycleChain(CeEnumeration((2, 5))))
+    v = check_two_way(g, doubled_chain_cert(), ParityCertificate(5),
+                      LocalizationCertificate(5))
+    assert v.is_holds
+    assert "separator-localization" in v.certified
+    v = check_two_way(g, doubled_chain_cert(), ParityCertificate(5),
+                      LocalizationCertificate(6))
+    assert v.is_fails and v.reason == NO_EVEN_SEPARATOR_CLAUSE
+    assert edge_set(v.witness) == edge_set([(-6, 5, 0), (-6, 5, 1)])
+
+
 def test_two_way_sweep_factorizes_over_blocks():
     # at localization radius 12 the whole region's cycle dimension is far
     # past the subset cap, but every bridge-free block (doubled pairs and

@@ -12,7 +12,8 @@ from graphends import (
     BinaryTree, GraphOracle, ProductGraph, GADGET_KINDS, build_gadget, parse_graph_spec,
 )
 from graphends.separation import (
-    _build_window, _cover_radius, _stable_partition, boundary_vertices, comp_approx,
+    _ball_rim, _boundary_vertices, _build_window, _cover_radius, _stable_partition,
+    boundary_vertices, comp_approx,
     comp_counter, decide_comp, boundary_partition, semidecide_not_separating,
     minimal_separating_subsets, ends_from_sepmax, sepmax_witness_from_ends,
     shell_edges, BoundaryPartition, _shells,
@@ -355,6 +356,43 @@ def test_stable_partition_against_reference(name):
         assert _outcome(lambda: _stable_partition(g, wp, k, fuel)) == want, sorted(wp)
 
 
+# the window's splits, read off the last layer of a ball: loops
+# (loopy-line), parallel edges (doubled-chain, and a doubled cycle chain)
+# and every stock family, with cores of one to three rays
+RIM_GRAPHS = dict(PARTITION_GRAPHS)
+RIM_GRAPHS["doubled-cycle-chain"] = (lambda: Doubled(CycleChain(CeEnumeration((2, 5)))), 2)
+RIM_GRAPHS.update({"core-plus-rays-4-%d" % k: (
+    lambda k=k: CorePlusRays(4, size=4, k=k), k) for k in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("name", sorted(RIM_GRAPHS))
+def test_ball_rim_against_the_whole_ball(name):
+    """_ball_rim, from ball(r) or ball(r + 1), gives the boundary of
+    ball(r).edges, its cut on layer r, and the same split outcome."""
+    make, k = RIM_GRAPHS[name]
+    g = make()
+    fuel = Fuel(max_radius=6 if name == "lambda" else 16)
+    for r in range(1, 4 if name == "lambda" else 9):
+        wp = ball(g, g.basepoint, r).edges
+        cut = cut_index(wp)
+        for radius in (r, r + 1):
+            dist = ball(g, g.basepoint, radius).distances
+            rim = _ball_rim(g, dist, r)
+            assert rim[1] == _boundary_vertices(g, wp, cut), (r, radius)
+            assert rim[0] == {v: cut[v] for v, d in dist.items() if d == r}, (r, radius)
+        want = _outcome(lambda: _stable_partition(g, wp, k, fuel))
+        assert _outcome(lambda: _stable_partition(g, wp, k, fuel, rim)) == want, r
+
+
+def test_a_fresh_window_reads_no_boundary_off_the_whole_ball(monkeypatch):
+    import graphends.separation as sep
+    calls, real = [], sep._boundary_vertices
+    monkeypatch.setattr(sep, "_boundary_vertices", lambda *a: calls.append(a) or real(*a))
+    g, e = parse_graph_spec("cycle-chain:events@2,5"), {edge(3, 4)}
+    assert decide_comp(g, e, EndsCertificate(2, edge_set([(7, 8, 0), (-8, -7, 0)]))) == 1
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the decision window
 # ---------------------------------------------------------------------------
@@ -448,6 +486,19 @@ def test_a_small_radius_budget_is_unknown_to_every_window_decider():
     assert decide_comp(g, region, cert, fuel) == Unknown(3)
     assert boundary_partition(g, region, cert, fuel) == Unknown(3)
     assert comp_counter(g, region, cert, Fuel(max_radius=8))(region) == 2
+
+
+def test_the_window_radius_boundary_of_the_separation_deciders():
+    # r0 = 6 puts vertex 6 on the certificate's ball; the window is ball(7)
+    e, cert = {edge(5, 6)}, EndsCertificate(2, {edge(0, 1)})
+    assert _cover_radius(IntLine(), e | cert.witness, Fuel()) == 6
+    fuel = Fuel(max_radius=7)
+    assert decide_comp(IntLine(), e, cert, fuel) == 2
+    assert boundary_partition(IntLine(), e, cert, fuel).infinite_groups == ({5}, {6})
+    assert comp_counter(IntLine(), e, cert, fuel)(e) == 2
+    fuel = Fuel(max_radius=6)
+    for decide in (decide_comp, boundary_partition, comp_counter):
+        assert decide(IntLine(), e, cert, fuel) == Unknown(6), decide
 
 
 def test_comp_counter_without_a_window_still_checks_each_candidate():
