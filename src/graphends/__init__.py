@@ -39,7 +39,7 @@ from .separation import (
     ends_from_sepmax, sepmax_witness_from_ends,
 )
 from .paths import (
-    SimplePath, check_simple_path, path_removed_edges,
+    SimplePath, check_simple_path,
     decide_extendable, greedy_infinite_path, tree_sep_from_path,
 )
 from .eulerian import (

@@ -7,8 +7,8 @@ question from an ends certificate, by one of two routes:
 
 * the decision window, always available and exact, but built from balls
   around the basepoint -- fine on thin graphs, hopeless on exponentially
-  growing ones.  `decide_extendable` reads its boundary partition; the
-  greedy builder searches it from each candidate up to its first exit;
+  growing ones.  `decide_extendable` searches it from the path's tip, the
+  greedy builder from each candidate, up to the first exit;
 
 * an outward escape search, when the oracle is `outward_growing` and knows
   `base_distance`: repeatedly expand the reachable vertex farthest from the
@@ -40,7 +40,6 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from .graph_core import (
     CutIndex,
-    EdgeSet,
     EndsCertificate,
     Fuel,
     GraphError,
@@ -55,14 +54,13 @@ from .graph_core import (
     cut_index,
     distances_from,
     edge_induced_vertices,
-    edges_at,
 )
-from .separation import _check_certificate, _window_at, boundary_partition
+from .separation import _check_certificate, _window_at
+from .separation import boundary_partition  # unused: bench/test_checks.py reads it here
 
 __all__ = [
     "SimplePath",
     "check_simple_path",
-    "path_removed_edges",
     "decide_extendable",
     "greedy_infinite_path",
     "tree_sep_from_path",
@@ -112,15 +110,6 @@ def check_simple_path(g: GraphOracle, p) -> SimplePath:
     return p
 
 
-def path_removed_edges(g: GraphOracle, p: SimplePath) -> EdgeSet:
-    """Every edge incident to a path vertex: deleting a vertex set means
-    deleting exactly these."""
-    out = set()
-    for v in p.vertices:
-        out.update(edges_at(g, v))
-    return frozenset(out)
-
-
 class _Blocked:
     """G minus the vertices of a simple path growing at its tip: `finite`
     vertices, base distances off one resumed walk, the farthest one `far` on
@@ -162,8 +151,9 @@ class _Blocked:
 
     def escapes(self, w: VertexId) -> Union[bool, Unknown]:
         """Is w, off the path, in an infinite component of G minus the path's
-        vertices?  The graded search, or a search of a window holding r0 and
-        every edge at w, up to its first exit, the only way out.  The first
+        vertices?  A path vertex w asks the same of its off-path neighbours.
+        The graded search, or a search of a window holding r0 and every
+        edge at w, up to its first exit, the only way out.  The first
         window is built at that radius; one outgrown at radius R gives way
         to one at max(r0, min(2R, max_radius - 1)).  The search goes depth
         first, least neighbour first, and keeps the way it found: while the
@@ -238,34 +228,27 @@ def decide_extendable(g: GraphOracle, p, cert: EndsCertificate,
                       fuel: Fuel = Fuel()) -> Union[bool, Unknown]:
     """Does the finite simple path p extend to an infinite simple path?
 
-    True iff some neighbour of the final vertex survives in an infinite
-    component once all edges at p's vertices are gone, False if none does,
-    and Unknown when the escape search or the window runs out of fuel.
+    True iff some neighbour of the final vertex, off the path, lies in an
+    infinite component of G minus p's vertices, False if none does, and
+    Unknown when the escape search or the window runs out of fuel.
     """
     p = check_simple_path(g, p)
-    on_path = set(p.vertices)
-    candidates = sorted(w for w, _ in g.neighbors(p.tip) if w not in on_path)
+    candidates = sorted(w for w, _ in g.neighbors(p.tip) if w not in p.vertices)
     if not candidates:
         return False
-
-    if g.outward_growing:
-        dists = [g.base_distance(v) for v in p.vertices]
-        if all(d is not None for d in dists):
-            horizon = max(dists) + 2
-            starved = None
-            for w in candidates:
-                verdict = _escapes_outward(g, on_path, w, horizon, fuel)
-                if verdict is True:
-                    return True
-                if isinstance(verdict, Unknown):
-                    starved = verdict
-            return False if starved is None else starved
-
-    bp = boundary_partition(g, path_removed_edges(g, p), cert, fuel)
-    if isinstance(bp, Unknown):
-        return bp
-    surviving = set().union(*bp.infinite_groups) if bp.infinite_groups else set()
-    return any(w in surviving for w in candidates)
+    ext = _Blocked(g, cert, fuel, p.vertices[0])
+    for v in p.vertices[1:]:
+        ext.add(v)
+    if ext.far is None:
+        return ext.escapes(p.tip)  # every edge at the tip lies in the window
+    starved = None
+    for w in candidates:
+        verdict = ext.escapes(w)
+        if verdict is True:
+            return True
+        if isinstance(verdict, Unknown):
+            starved = verdict
+    return False if starved is None else starved
 
 
 def greedy_infinite_path(g: GraphOracle, start: VertexId,

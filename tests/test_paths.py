@@ -16,8 +16,8 @@ from graphends.graph_core import (
     Unknown,
     UnsoundCertificateDetected,
     ball,
-    edge,
     edge_set,
+    edges_at,
 )
 from graphends.gadgets import (
     BinaryTree,
@@ -27,18 +27,18 @@ from graphends.gadgets import (
     IntLine,
     LinesWithSticks,
     NatLine,
-    OneWayMulti,
     parse_graph_spec,
     tree_lambda,
 )
 from graphends.paths import (
     SimplePath,
+    _escapes_outward,
     check_simple_path,
     decide_extendable,
     greedy_infinite_path,
-    path_removed_edges,
     tree_sep_from_path,
 )
+from graphends.separation import boundary_partition
 
 from _brute import brute_components
 from _fixtures import CorePlusRays, LollipopLine, LoopyLine, PendantLine
@@ -69,13 +69,6 @@ def test_check_simple_path():
         check_simple_path(g, [0, 2])
     with pytest.raises(InvalidVertex):
         check_simple_path(g, [-1, 0])
-
-
-def test_path_removed_edges_keeps_all_slots():
-    g = OneWayMulti(CeEnumeration(every_stage=True))  # events at every stage
-    got = path_removed_edges(g, SimplePath((0, 1)))
-    assert edge(0, 1, 0) in got and edge(0, 1, 1) in got
-    assert edge(1, 2, 0) in got and edge(1, 2, 1) in got
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +109,9 @@ def test_extendable_nat_line_downhill_is_no():
 def test_extendable_single_vertex_paths():
     assert decide_extendable(NatLine(), [0], ONE_END) is True
     assert decide_extendable(IntLine(), [0], LINE_CERT) is True
+    # the graded route asks on past the finite candidate 0
+    assert NatLine().outward_growing
+    assert decide_extendable(NatLine(), [1], ONE_END) is True
 
 
 def test_fast_and_slow_routes_agree_on_the_line():
@@ -153,7 +149,7 @@ def test_extendable_against_brute_on_core_plus_rays(seed, k):
     """Random simple paths in the core: the tip extends exactly when one of
     its neighbours off the path keeps a surviving edge and lies in no finite
     component of the brute oracle.  CorePlusRays is not outward growing, so
-    every answer comes from boundary_partition."""
+    every answer comes from a search of the decision window."""
     g = CorePlusRays(seed, size=4, k=k)
     assert not g.outward_growing
     cert = EndsCertificate(k, g.ray_edges)
@@ -166,7 +162,7 @@ def test_extendable_against_brute_on_core_plus_rays(seed, k):
                 break
             walk.append(rng.choice(nxt))
         p = SimplePath(tuple(walk))
-        removed = {(e.u, e.v, e.slot) for e in path_removed_edges(g, p)}
+        removed = {(e.u, e.v, e.slot) for v in walk for e in edges_at(g, v)}
         _inf, finite = brute_components(g, removed, g.quiet + 3, g.end_label, g.quiet)
         want = any(
             w not in walk and any(x not in walk for x, _m in g.neighbors(w))
@@ -188,6 +184,44 @@ def test_extendable_unknown_on_tiny_fuel():
     assert decide_extendable(g, [0], cert, Fuel(max_radius=3)) == Unknown(3)
     # the outward escape search runs out of steps, not radius
     assert decide_extendable(BinaryTree(), [1], ONE_END, Fuel(max_steps=1)) == Unknown(1)
+
+
+def test_extendable_fuel_boundaries():
+    # the window branch: the window of the path 0..9, at r0 = 10, needs ball(11)
+    chain_of_cycles = partial(parse_graph_spec, "cycle-chain:events@2,5")
+    cert = EndsCertificate(2, edge_set([(7, 8), (-8, -7)]))
+    path = list(range(10))
+    assert decide_extendable(chain_of_cycles(), path, cert, Fuel(max_radius=11)) is True
+    assert decide_extendable(chain_of_cycles(), path, cert, Fuel(max_radius=10)) == Unknown(10)
+    # the graded branch: the escape search from 8 takes two steps
+    assert decide_extendable(BinaryTree(), [1, 2, 4], ONE_END, Fuel(max_steps=2)) is True
+    assert decide_extendable(BinaryTree(), [1, 2, 4], ONE_END, Fuel(max_steps=1)) == Unknown(1)
+
+
+def _reference_extendable(g, p, cert, fuel=Fuel()):
+    """The decider as separate searches: the graded escape search from each
+    candidate, or else the boundary partition of every edge at p's vertices."""
+    p = check_simple_path(g, p)
+    on_path = set(p.vertices)
+    candidates = sorted(w for w, _ in g.neighbors(p.tip) if w not in on_path)
+    if not candidates:
+        return False
+    if g.outward_growing:
+        dists = [g.base_distance(v) for v in p.vertices]
+        if all(d is not None for d in dists):
+            starved = None
+            for w in candidates:
+                verdict = _escapes_outward(g, on_path, w, max(dists) + 2, fuel)
+                if verdict is True:
+                    return True
+                if isinstance(verdict, Unknown):
+                    starved = verdict
+            return False if starved is None else starved
+    removed = frozenset(e for v in p.vertices for e in edges_at(g, v))
+    bp = boundary_partition(g, removed, cert, fuel)
+    if isinstance(bp, Unknown):
+        return bp
+    return any(w in group for group in bp.infinite_groups for w in candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +284,13 @@ def test_greedy_no_extension_when_decider_rejects_everything(monkeypatch):
 
 def _stepwise_greedy(g, start, cert, length, fuel=Fuel()):
     """The builder as one decision about the whole path per candidate: the
-    least neighbour w of the tip such that decide_extendable(path + w)."""
+    least neighbour w of the tip such that _reference_extendable(path + w)."""
     path = [start]
     while len(path) <= length:
         for w, _ in g.neighbors(path[-1]):
             if w in path:
                 continue
-            t = decide_extendable(g, path + [w], cert, fuel)
+            t = _reference_extendable(g, path + [w], cert, fuel)
             if isinstance(t, Unknown):
                 return t
             if t:
@@ -300,6 +334,25 @@ GREEDY_CASES.update({name: partial(_one_end_case, make) for name, make in [
     # the cycle past the first escape: the way out found from 1 runs
     # through 3, whose least neighbour -2 is finite and must be asked
     ("lollipop-line-at-3", partial(LollipopLine, at=3))]})
+
+
+def _simple_paths(g, start, edges):
+    """Every simple path from start of at most `edges` edges."""
+    paths, frontier = [], [(start,)]
+    for _ in range(edges + 1):
+        paths += frontier
+        frontier = [q + (w,) for q in frontier for w, _ in g.neighbors(q[-1]) if w not in q]
+    return paths
+
+
+def test_extendable_matches_the_reference_decider():
+    """decide_extendable against the reference on every greedy case, over
+    the simple paths of up to three edges from its start."""
+    for name, make in GREEDY_CASES.items():
+        g, start, cert = make()
+        for path in _simple_paths(g, start, 3):
+            want = _reference_extendable(g, path, cert)
+            assert decide_extendable(g, path, cert) == want, (name, path)
 
 
 def test_greedy_matches_the_stepwise_builder():
