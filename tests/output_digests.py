@@ -3,10 +3,15 @@
     python3 tests/output_digests.py            # print the digests
     python3 tests/output_digests.py --check    # compare with DIGESTS, exit 1 on a mismatch
 
-For sep-stages and cli-windows at seeds 1-3 it builds the workload's
-operations (`bench/<module>.py`, `build(seed)`), runs each once in order,
-and feeds `repr((op.name, output))` of every operation into one sha256; an
-operation that raises contributes `('raised', type name, str(exc))`.  It
+For sep-stages and cli-windows at seeds 1-3, and logic-battery at seeds
+1-2, it builds the workload's operations (`bench/<module>.py`,
+`build(seed)`), runs each once in order, and feeds `repr((op.name,
+output))` of every operation into one sha256; an operation that raises
+contributes `('raised', type name, str(exc))`, and a Presentation is hashed
+as `serialize_presentation` text, since its default repr holds object
+addresses.  For logic-battery a second sha256 takes every `Dfa.minimized()`
+table built during the run (TABLE_DIGESTS), so a change to how automata
+are built or minimized must leave each minimal table identical.  It
 also hashes the standard output and exit code of `sh demos/cli_tour.sh`
 and of each `demos/*.py`, run with `src` on PYTHONPATH, and the `--help`
 text of the CLI and of each of its commands, at 80 columns (TEXT_DIGESTS).
@@ -36,6 +41,16 @@ DIGESTS = {
         "a689a854c5f98e3db6dadb54327a987292901f4fd8d1efe9da421ac459fae56e",
         "565273ce7c1c4399bb42decde35e211c87b3e4056f03f1d5f1cf1ccc1a680250",
         "08f05181594e51e76d8afda363ad001c822bb5c0b7de753c41f24d0a3e2b8e2c",
+    ),
+    "logic-battery": (
+        "7a438212fa637d225acda5133f346541505251fc8fa7fcfe634cc1b70e19a744",
+        "ee8f6f24582778dc334fea2f911de029f28bc5e1060bfc75382c9db40a60c721",
+    ),
+}
+TABLE_DIGESTS = {
+    "logic-battery": (
+        "f3cc1b225d83c090c7e41f508b6e1afcf1a4068931e8d98ed09c95d81212829c",
+        "b9d7b51be2b18cead7f9515b9e07b9dbbaa2d7bf170250e8acca172da1858591",
     ),
 }
 TEXT_DIGESTS = {
@@ -86,18 +101,35 @@ TEXT_DIGESTS = {
     "demos/separation_walkthrough.py":
         "ddde7d73bc5dddfb21ddc81aeae2167510b54c2f3ab62d96925827cc070bf035",
 }
-MODULES = {"sep-stages": "sep_stages", "cli-windows": "cli_windows"}
+MODULES = {"sep-stages": "sep_stages", "cli-windows": "cli_windows",
+           "logic-battery": "logic_battery"}
 
 
-def digest(workload: str, seed: int) -> str:
-    h = hashlib.sha256()
-    for op in importlib.import_module(MODULES[workload]).build(seed):
-        try:
-            out = op.run()
-        except Exception as exc:
-            out = ("raised", type(exc).__name__, str(exc))
-        h.update(repr((op.name, out)).encode())
-    return h.hexdigest()
+def digests(workload: str, seed: int):
+    """sha256 of the operations' outputs, and of every minimized table."""
+    from graphends.automatic import Dfa, Presentation, serialize_presentation
+    outputs, tables = hashlib.sha256(), hashlib.sha256()
+    minimized = Dfa.minimized
+
+    def recorded(dfa):
+        m = minimized(dfa)
+        tables.update(repr((sorted(m.alphabet), m.start, sorted(m.accepting),
+                            sorted(m.transitions.items()))).encode())
+        return m
+
+    Dfa.minimized = recorded
+    try:
+        for op in importlib.import_module(MODULES[workload]).build(seed):
+            try:
+                out = op.run()
+            except Exception as exc:
+                out = ("raised", type(exc).__name__, str(exc))
+            if isinstance(out, Presentation):
+                out = serialize_presentation(out)
+            outputs.update(repr((op.name, out)).encode())
+    finally:
+        Dfa.minimized = minimized
+    return outputs.hexdigest(), tables.hexdigest()
 
 
 def _run(argv) -> bytes:
@@ -129,9 +161,14 @@ def text_digests() -> dict:
 
 def main(argv) -> int:
     check = "--check" in argv
-    results = [("%s seed %d" % (workload, seed), digest(workload, seed), expected)
-               for workload, want in DIGESTS.items()
-               for seed, expected in enumerate(want, start=1)]
+    results = []
+    for workload, want in DIGESTS.items():
+        for seed, expected in enumerate(want, start=1):
+            outputs, tables = digests(workload, seed)
+            results.append(("%s seed %d" % (workload, seed), outputs, expected))
+            if workload in TABLE_DIGESTS:
+                results.append(("%s minimized tables seed %d" % (workload, seed),
+                                tables, TABLE_DIGESTS[workload][seed - 1]))
     results += [(key, got, TEXT_DIGESTS.get(key)) for key, got in text_digests().items()]
     bad = 0
     for key, got, expected in results:
