@@ -27,6 +27,13 @@ known by the set of residuals whose weighted total falls in the counted
 class, and one more letter acts on that set through the residuals'
 successor table.  This is Schützenberger's Hankel view of weighted
 automata, run as a double reversal.
+
+Automata are explored one way each: forward by `_explore`, a breadth-first
+search that lists the reachable states with one row of successor indices
+per state, and backward by `_coreachable`.  Products, subset
+constructions, the residual closure and minimisation all run on
+`_explore`, so every automaton built here has the integer states 0..n-1
+in breadth-first order.
 """
 
 from __future__ import annotations
@@ -141,9 +148,6 @@ class Dfa:
                 table.setdefault((q, a), sink)
         return cls(alphabet, states, start, accepting, table)
 
-    def step(self, state, symbol):
-        return self.transitions[(state, symbol)]
-
     def accepts(self, word: Sequence) -> bool:
         q = self.start
         for a in word:
@@ -159,22 +163,10 @@ class Dfa:
     def product(self, other: "Dfa", keep) -> "Dfa":
         if self.alphabet != other.alphabet:
             raise ArityMismatch("product over different alphabets")
-        syms = sorted(self.alphabet)
-        start = (self.start, other.start)
-        table = {}
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            p, q = queue.popleft()
-            for a in syms:
-                t = (self.transitions[(p, a)], other.transitions[(q, a)])
-                table[((p, q), a)] = t
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        accepting = {s for s in seen
-                     if keep(s[0] in self.accepting, s[1] in other.accepting)}
-        return Dfa(self.alphabet, seen, start, accepting, table)
+        d, e = self.transitions, other.transitions
+        return _explored(self.alphabet, (self.start, other.start),
+                         lambda s, a: (d[(s[0], a)], e[(s[1], a)]),
+                         lambda s: keep(s[0] in self.accepting, s[1] in other.accepting))
 
     def intersect(self, other: "Dfa") -> "Dfa":
         return self.product(other, lambda x, y: x and y)
@@ -209,19 +201,7 @@ class Dfa:
         yield identical tables."""
         syms = sorted(self.alphabet)
         delta = self.transitions
-        index = {self.start: 0}
-        found = [self.start]
-        rows = []
-        for q in found:                  # grows while it is read: the BFS queue
-            row = []
-            for a in syms:
-                t = delta[(q, a)]
-                j = index.get(t)
-                if j is None:
-                    j = index[t] = len(found)
-                    found.append(t)
-                row.append(j)
-            rows.append(row)
+        found, rows = _explore(self.start, syms, lambda q, a: delta[(q, a)])
         accept = [q in self.accepting for q in found]
         block = accept
         count = len(set(block))
@@ -264,27 +244,55 @@ class Dfa:
         return self.product(other, lambda x, y: x != y).is_empty()
 
 
-def _determinize(alphabet, start_set, move, accept_pred, on_grow=None) -> Dfa:
-    """Subset construction; `move(frozenset, symbol) -> frozenset`.
+def _explore(start, syms, step, on_grow=None):
+    """Breadth-first search from `start`: the reachable states in the order
+    first seen, and per state the row of its successors' indices, one per
+    symbol of `syms` in order.  `step(state, symbol)` gives the successor;
     `on_grow(count)` sees the state count after each new state and may
-    raise to stop the construction."""
-    syms = sorted(alphabet)
-    start = frozenset(start_set)
-    table = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
+    raise to stop the search."""
+    index = {start: 0}
+    found = [start]
+    rows = []
+    for q in found:                  # grows while it is read: the BFS queue
+        row = []
         for a in syms:
-            t = move(s, a)
-            table[(s, a)] = t
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
+            t = step(q, a)
+            j = index.get(t)
+            if j is None:
+                j = index[t] = len(found)
+                found.append(t)
                 if on_grow is not None:
-                    on_grow(len(seen))
-    accepting = {s for s in seen if accept_pred(s)}
-    return Dfa(alphabet, seen, start, accepting, table)
+                    on_grow(len(found))
+            row.append(j)
+        rows.append(row)
+    return found, rows
+
+
+def _explored(alphabet, start, step, accept, on_grow=None) -> Dfa:
+    """The part of an automaton reachable from `start`, as a Dfa whose
+    states are 0..n-1 in breadth-first order; `accept(state)` picks the
+    final states, and `step` and `on_grow` are as in `_explore`."""
+    syms = sorted(alphabet)
+    found, rows = _explore(start, syms, step, on_grow)
+    table = {(i, a): j for i, row in enumerate(rows) for a, j in zip(syms, row)}
+    return Dfa(alphabet, range(len(found)), 0,
+               [i for i, q in enumerate(found) if accept(q)], table)
+
+
+def _coreachable(targets, arcs) -> set:
+    """The states from which some state of `targets` is reached along
+    `arcs`, pairs (q, t) of a move from q to t; the targets included."""
+    preds: Dict[object, List[object]] = {}
+    for q, t in arcs:
+        preds.setdefault(t, []).append(q)
+    found = set(targets)
+    todo = list(found)
+    while todo:
+        for q in preds.get(todo.pop(), ()):
+            if q not in found:
+                found.add(q)
+                todo.append(q)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -559,30 +567,22 @@ def project_exists(a: RelationAutomaton, track: Optional[int] = None) -> Relatio
         raise ArityMismatch("track %d out of range" % track)
 
     kept = lambda t: t[:track] + t[track + 1:]
-    suffix_syms = [t for t in a.dfa.alphabet if all(c == PAD for c in kept(t))]
+    A = a.dfa
+    suffix_syms = [t for t in A.alphabet if all(c == PAD for c in kept(t))]
     # states from which acceptance is reachable on erased-track-only letters
-    closure = set(a.dfa.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for q in a.dfa.states:
-            if q in closure:
-                continue
-            if any(a.dfa.transitions[(q, t)] in closure for t in suffix_syms):
-                closure.add(q)
-                changed = True
+    closure = _coreachable(A.accepting, ((q, A.transitions[(q, t)])
+                                         for q in A.states for t in suffix_syms))
 
     moves: Dict[Tuple[object, Tuple], set] = {}
-    for q in a.dfa.states:
-        for t in a.dfa.alphabet:
+    for q in A.states:
+        for t in A.alphabet:
             if t in suffix_syms:
                 continue
-            moves.setdefault((q, kept(t)), set()).add(a.dfa.transitions[(q, t)])
+            moves.setdefault((q, kept(t)), set()).add(A.transitions[(q, t)])
 
     m = n - 1
-    new_alpha = conv_alphabet(a.sigma, m)
     if m == 0:
-        return _nullary(a.sigma, a.dfa.start in closure)
+        return _nullary(a.sigma, A.start in closure)
 
     def move(state_set, sym):
         out = set()
@@ -590,8 +590,8 @@ def project_exists(a: RelationAutomaton, track: Optional[int] = None) -> Relatio
             out |= moves.get((q, sym), set())
         return frozenset(out)
 
-    det = _determinize(new_alpha, {a.dfa.start}, move,
-                       lambda s: bool(s & closure))
+    det = _explored(conv_alphabet(a.sigma, m), frozenset({A.start}), move,
+                    lambda s: bool(s & closure))
     return relation(a.sigma, m, det)
 
 
@@ -660,51 +660,43 @@ def counting_project(a: RelationAutomaton, mode: str,
     idx = {q: k for k, q in enumerate(states_list)}
     n_st = len(states_list)
     alpha = sorted(conv_alphabet(a.sigma, m))
-    moves = []
+    moves = {}
     for sym in alpha:
         pad_src = [(n_st + idx[A.transitions[(q, sym + (PAD,))]],)
                    for q in states_list]
-        moves.append([tuple(idx[A.transitions[(q, sym + (b,))]] for b in syms)
-                      + src for q, src in zip(states_list, pad_src)] + pad_src)
+        moves[sym] = [tuple(idx[A.transitions[(q, sym + (b,))]] for b in syms)
+                      + src for q, src in zip(states_list, pad_src)] + pad_src
 
-    def check_size(forward: int) -> None:
-        if max(len(residuals), forward) > _COUNTING_LIMIT:
+    def residual(c, sym):
+        out = []
+        for src in moves[sym]:
+            t = c[src[0]]
+            for j in src[1:]:
+                t = plus[t][c[j]]
+            out.append(t)
+        return tuple(out)
+
+    def check_size(residuals: int, forward: int) -> None:
+        if max(residuals, forward) > _COUNTING_LIMIT:
             raise GraphError(
                 "counting projection exploded: %d residuals and %d forward "
                 "states (limit %d each) from a relation of %d states; "
                 "simplify the relation first"
-                % (len(residuals), forward, _COUNTING_LIMIT, n_st))
+                % (residuals, forward, _COUNTING_LIMIT, n_st))
 
     f = tuple(code[live[q]] for q in states_list) + tuple(
         code[done[q]] for q in states_list)
-    residuals = [f]
-    number = {f: 0}
-    succ = []
-    for c in residuals:                 # grows while it is walked
-        row = {}
-        for sym, sources in zip(alpha, moves):
-            out = []
-            for src in sources:
-                t = c[src[0]]
-                for j in src[1:]:
-                    t = plus[t][c[j]]
-                out.append(t)
-            out = tuple(out)
-            if out not in number:
-                number[out] = len(residuals)
-                residuals.append(out)
-                check_size(0)
-            row[sym] = number[out]
-        succ.append(row)
+    residuals, succ = _explore(f, alpha, residual, lambda k: check_size(k, 0))
 
     # A prefix w is known by the residuals its total matches, {i : alpha_w .
     # c_i matches}: reading a keeps i iff it kept the a-successor of i, and
     # w is accepted iff it keeps c_0 = f.
+    target = {sym: [row[k] for row in succ] for k, sym in enumerate(alpha)}
     start = idx[A.start]
-    det = _determinize(
-        alpha, [i for i, c in enumerate(residuals) if hit[c[start]]],
-        lambda s, sym: frozenset(i for i, row in enumerate(succ) if row[sym] in s),
-        lambda s: 0 in s, on_grow=check_size)
+    det = _explored(
+        alpha, frozenset(i for i, c in enumerate(residuals) if hit[c[start]]),
+        lambda s, sym: frozenset(i for i, t in enumerate(target[sym]) if t in s),
+        lambda s: 0 in s, lambda k: check_size(len(residuals), k))
     return relation(a.sigma, m, det.minimized())
 
 
@@ -712,33 +704,26 @@ def _path_count_classes(states, next_map, accepting, sr: CountSemiring):
     """Count class, per state, of the accepted words readable from it in the
     deterministic edge structure `next_map` (the empty word included when
     the state itself accepts)."""
-    rev: Dict[object, List[object]] = {q: [] for q in states}
-    for q in states:
-        for p in next_map[q]:
-            rev[p].append(q)
-    coacc = set(accepting)
-    queue = deque(coacc)
-    while queue:
-        p = queue.popleft()
-        for q in rev[p]:
-            if q not in coacc:
-                coacc.add(q)
-                queue.append(q)
-
+    coacc = _coreachable(accepting, ((q, p) for q in states for p in next_map[q]))
     # peel states with no useful successors; what survives can reach a cycle
-    out_deg = {q: sum(1 for p in next_map[q] if p in coacc) for q in coacc}
+    rev: Dict[object, List[object]] = {q: [] for q in coacc}
+    out_deg = dict.fromkeys(coacc, 0)
+    for q in coacc:
+        for p in next_map[q]:
+            if p in coacc:
+                rev[p].append(q)
+                out_deg[q] += 1
     order = deque(q for q in coacc if out_deg[q] == 0)
     peeled: List[object] = []
     removed = set(order)
     while order:
         q = order.popleft()
         peeled.append(q)
-        for r in rev[q]:
-            if r in coacc and r not in removed:
-                out_deg[r] -= 1
-                if out_deg[r] == 0:
-                    removed.add(r)
-                    order.append(r)
+        for r in rev[q]:        # r still counts its arc to q: not yet removed
+            out_deg[r] -= 1
+            if out_deg[r] == 0:
+                removed.add(r)
+                order.append(r)
 
     classes = {q: sr.zero for q in states}
     for q in coacc - removed:
@@ -837,18 +822,9 @@ def domain_words(dfa: Dfa, max_len: int) -> List[Tuple[str, ...]]:
     """Accepted words of length <= max_len, shortest first then by symbol
     order; pruned through co-accessible states so sparse languages stay
     cheap to enumerate."""
-    rev: Dict[object, set] = {q: set() for q in dfa.states}
-    for (q, _a), t in dfa.transitions.items():
-        rev[t].add(q)
-    live = set(dfa.accepting)
-    queue = deque(live)
-    while queue:
-        p = queue.popleft()
-        for q in rev[p]:
-            if q not in live:
-                live.add(q)
-                queue.append(q)
     syms = sorted(dfa.alphabet)
+    live = _coreachable(dfa.accepting, ((q, dfa.transitions[(q, a)])
+                                        for q in dfa.states for a in syms))
     out: List[Tuple[str, ...]] = []
     layer = [((), dfa.start)] if dfa.start in live else []
     for _ in range(max_len + 1):
@@ -864,10 +840,13 @@ def domain_words(dfa: Dfa, max_len: int) -> List[Tuple[str, ...]]:
     return out
 
 
-def validate_presentation(p: Presentation, transitivity_len: int = 4) -> None:
+_TRANSITIVITY_LEN = 4
+
+
+def validate_presentation(p: Presentation) -> None:
     """Checks the structural promises: nonempty domain, symmetric adjacency,
     and equality an equivalence on the domain (transitivity only spot-checked
-    on short words)."""
+    on words up to `_TRANSITIVITY_LEN` letters)."""
     if p.domain.is_empty():
         raise GraphError("presentation domain is empty")
     if not permute_tracks(p.adjacency, (1, 0)).equivalent(p.adjacency):
@@ -880,7 +859,7 @@ def validate_presentation(p: Presentation, transitivity_len: int = 4) -> None:
     missing = boolean_op(diag, relation_not(p.equality), "and")
     if not missing.is_empty():
         raise GraphError("equality is not reflexive on the domain")
-    words = domain_words(p.domain, transitivity_len)
+    words = domain_words(p.domain, _TRANSITIVITY_LEN)
     related = [(u, v) for u in words for v in words if p.equality.accepts((u, v))]
     linked: Dict[Tuple, set] = {}
     for u, v in related:

@@ -163,11 +163,11 @@ def _auto_witness(g, ends: int, fuel: Fuel) -> EdgeSet:
 def _load_presentation(literal: str):
     """A builtin name (nat-line, grid) or a path to a presentation file."""
     if literal == "nat-line":
-        return nat_line_presentation(), "nat-line (builtin)"
+        return nat_line_presentation()
     if literal == "grid":
-        return grid_presentation(), "grid (builtin)"
+        return grid_presentation()
     with open(literal, encoding="utf-8") as fh:
-        return parse_presentation(fh.read()), literal
+        return parse_presentation(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +388,9 @@ def _cmd_gadget_list(args) -> int:
 
 
 def _cmd_automatic_eval(args) -> int:
-    p, label = _load_presentation(args.presentation)
+    p = _load_presentation(args.presentation)
     f = parse_formula(args.formula)
-    pairs = [("presentation", label), ("formula", args.formula)]
+    pairs = [("presentation", args.presentation), ("formula", args.formula)]
     got = eval_formula(p, f)
     if isinstance(got, bool):
         _header("automatic-eval", pairs)
@@ -417,8 +417,8 @@ def _cmd_automatic_eval(args) -> int:
 
 
 def _cmd_automatic_euler(args) -> int:
-    p, label = _load_presentation(args.presentation)
-    _header("automatic-euler", [("presentation", label),
+    p = _load_presentation(args.presentation)
+    _header("automatic-euler", [("presentation", args.presentation),
                                 ("which", args.which)])
     print("true" if decide_eulerian_automatic(p, args.which) else "false")
     return 0

@@ -39,7 +39,6 @@ from itertools import chain, islice
 from typing import Callable, List, Optional, Tuple, Union
 
 from .graph_core import (
-    CutIndex,
     EndsCertificate,
     Fuel,
     GraphError,
@@ -51,7 +50,6 @@ from .graph_core import (
     VertexId,
     bfs_layers,
     check_edge_set,
-    cut_index,
     distances_from,
     edge_induced_vertices,
 )
@@ -302,21 +300,6 @@ def _tree_layers(g: GraphOracle, a: VertexId, targets,
                      "tree or budget too small" % (a, min(missing)))
 
 
-def _tree_path_avoids(g: GraphOracle, a: VertexId, b: VertexId, cut: CutIndex,
-                      fuel: Fuel) -> bool:
-    """Same component of tree-minus-cut?  The unique a-to-b path, walked
-    back from b through its one neighbour in each earlier layer, must dodge
-    the cut."""
-    layers = _tree_layers(g, a, (b,), fuel)
-    x = b
-    for earlier in map(set, reversed(layers[:-1])):
-        y, m = next((w, m) for w, m in g.neighbors(x) if w in earlier)
-        if m <= cut.get(x, {}).get(y, 0):
-            return False
-        x = y
-    return True
-
-
 def _raise_on_cycle(g: GraphOracle, dist, depth: int) -> None:
     """GraphError naming a cycle that BFS distances `dist` show within `depth`
     (all neighbours fetched): a parallel edge, an edge inside a layer, or a
@@ -342,30 +325,28 @@ def tree_sep_from_path(g: GraphOracle, e,
                        fuel: Fuel = Fuel()) -> bool:
     """On a tree, decide whether e separates using only a path oracle.
 
-    For each component of the tree minus e (identified by the endpoints it
-    holds), walk it out to one step past every endpoint of e; a branch
+    For each component of the tree minus e (identified by its least
+    endpoint), walk it out to one step past every endpoint of e; a branch
     w -> x crossing that horizon is untouched by e, so [w, x] extends to an
     infinite simple path iff the branch -- hence the component -- is
     infinite.  Separating means at least two components come out infinite.
-    A cycle seen on a horizon walk raises GraphError.
+    A walk holds every endpoint of its component, since tree paths are
+    unique, so the endpoints it reaches need no walk of their own.  A cycle
+    seen on a horizon walk raises GraphError.
     """
     e = check_edge_set(g, e)
     if not e:
         return False
     endpoints = sorted(edge_induced_vertices(e))
-    cut = cut_index(e)
-
-    # one representative endpoint per component of tree-minus-e
-    comp_reps: List[VertexId] = []
-    for v in endpoints:
-        if not any(_tree_path_avoids(g, rep, v, cut, fuel) for rep in comp_reps):
-            comp_reps.append(v)
-
+    seen = set()
     infinite = 0
-    for rep in comp_reps:
+    for rep in endpoints:
+        if rep in seen:
+            continue
         # horizon: one step past the farthest endpoint of e, as seen from rep
         h = len(_tree_layers(g, rep, endpoints, fuel)) - 1
         survived = distances_from(g, rep, h + 1, avoid_edges=e)
+        seen.update(survived)
         _raise_on_cycle(g, survived, h)
         frontier = [x for x, d in survived.items() if d == h + 1]
         for x in frontier:

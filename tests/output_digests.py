@@ -55,7 +55,7 @@ TABLE_DIGESTS = {
 }
 TEXT_DIGESTS = {
     "cli-tour":
-        "7400fb783a316d169dfd7cf4d8e0763ddfe465cbc552469e9fd83a0ebe3fad6c",
+        "b0985c7bcd163a02ee0fad835a583e3f77af1d23ba45bf499d9f1813b6602d53",
     "--help":
         "319f4500c173130b8bfbfc6ff807f267af0c1fd1586eae51b737b0cacfefec7a",
     "ball --help":

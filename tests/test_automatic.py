@@ -189,11 +189,13 @@ def in_repr_order(states):
     return sorted(states, key=repr)
 
 
-def random_total_dfa(rng):
-    """1-8 states of mixed name types over 0-3 symbols (0: the nullary
-    alphabet), with a random start, so some states are often unreachable."""
+def random_total_dfa(rng, syms=None):
+    """1-8 states of mixed name types over `syms`, by default 0-3 symbols
+    (0: the nullary alphabet), with a random start, so some states are
+    often unreachable."""
     n = rng.randint(1, 8)
-    syms = ("a", "b", "c")[:rng.choice((0, 1, 1, 2, 2, 3, 3, 3))]
+    if syms is None:
+        syms = ("a", "b", "c")[:rng.choice((0, 1, 1, 2, 2, 3, 3, 3))]
     names = mixed_names(rng, n)
     table = {(q, s): rng.choice(names) for q in names for s in syms}
     accepting = {q for q in names if rng.random() < 0.5}
@@ -298,6 +300,118 @@ def test_product_complement_shortest():
                        ("b", "0"): "b", ("b", "1"): "c",
                        ("c", "0"): "c", ("c", "1"): "c"})
     assert has_01.shortest_accepted() == ("0", "1")
+
+
+# The library explores every automaton it builds into integer states in
+# breadth-first order.  These are the searches it replaced, kept as
+# references: the product over state pairs, the subset construction over
+# frozensets, and existential projection's fixed-point closure.
+
+def _reference_product(a, b, keep):
+    syms = sorted(a.alphabet)
+    start = (a.start, b.start)
+    table = {}
+    seen = {start}
+    queue = [start]
+    for p, q in queue:
+        for x in syms:
+            t = (a.transitions[(p, x)], b.transitions[(q, x)])
+            table[((p, q), x)] = t
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    accepting = {s for s in seen if keep(s[0] in a.accepting, s[1] in b.accepting)}
+    return Dfa(a.alphabet, seen, start, accepting, table)
+
+
+def _reference_determinize(alphabet, start_set, move, accept_pred):
+    syms = sorted(alphabet)
+    start = frozenset(start_set)
+    table = {}
+    seen = {start}
+    queue = [start]
+    for s in queue:
+        for x in syms:
+            t = move(s, x)
+            table[(s, x)] = t
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return Dfa(alphabet, seen, start, {s for s in seen if accept_pred(s)}, table)
+
+
+def _reference_project_exists(a, track):
+    """The base automaton of project_exists(a, track), or its truth value
+    when nothing is left."""
+    A = a.dfa
+    kept = lambda t: t[:track] + t[track + 1:]
+    suffix_syms = [t for t in A.alphabet if all(c == PAD for c in kept(t))]
+    closure = set(A.accepting)
+    changed = True
+    while changed:
+        changed = False
+        for q in A.states:
+            if q not in closure and any(A.transitions[(q, t)] in closure
+                                        for t in suffix_syms):
+                closure.add(q)
+                changed = True
+    if a.arity == 1:
+        return A.start in closure
+    moves = {}
+    for (q, t), r in A.transitions.items():
+        if t not in suffix_syms:
+            moves.setdefault((q, kept(t)), set()).add(r)
+    move = lambda s, x: frozenset(r for q in s for r in moves.get((q, x), ()))
+    return _reference_determinize(conv_alphabet(a.sigma, a.arity - 1), {A.start},
+                                  move, lambda s: bool(s & closure))
+
+
+def assert_same_automaton(got, want):
+    """Equal state counts, the same verdict on every word of up to six
+    letters, and identical minimal tables (so the same language)."""
+    assert len(got.states) == len(want.states)
+    for n in range(7):
+        for w in itertools.product(sorted(want.alphabet), repeat=n):
+            assert run_dfa(got, w) == run_dfa(want, w), w
+    assert table_of(got.minimized()) == table_of(want.minimized())
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_products_and_subsets_against_the_references(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        a = random_total_dfa(rng, ("a", "b"))
+        b = random_total_dfa(rng, ("a", "b"))
+        for keep in (lambda x, y: x and y, lambda x, y: x != y):
+            got = a.product(b, keep)
+            assert got.states == set(range(len(got.states))) and got.start == 0
+            assert_same_automaton(got, _reference_product(a, b, keep))
+        # a random nondeterministic table over a's states
+        names = in_repr_order(a.states)
+        moves = {(q, x): rng.sample(names, min(rng.randint(0, 2), len(names)))
+                 for q in names for x in "ab"}
+        move = lambda s, x: frozenset(r for q in s for r in moves[(q, x)])
+        accept = lambda s: bool(s & a.accepting)
+        start = frozenset({a.start})
+        assert_same_automaton(automatic._explored(a.alphabet, start, move, accept),
+                              _reference_determinize(a.alphabet, start, move, accept))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_project_exists_against_the_fixed_point_closure(arity):
+    rng = random.Random(arity)
+    alpha = sorted(conv_alphabet(SIGMA, arity))
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        table = {(q, t): rng.randrange(n) for q in range(n) for t in alpha}
+        accepting = {q for q in range(n) if rng.random() < 0.4}
+        rel = relation(SIGMA, arity, Dfa(alpha, range(n), 0, accepting, table))
+        for track in range(arity):
+            got, want = project_exists(rel, track), _reference_project_exists(rel, track)
+            if arity == 1:
+                assert got.dfa.accepts(()) is want
+            else:
+                assert got.equivalent(relation(SIGMA, arity - 1, want))
 
 
 def test_map_symbols_requires_injectivity():

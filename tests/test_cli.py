@@ -170,6 +170,20 @@ def test_the_auto_witness_is_checked_only_to_the_radius_budget():
     assert _auto_witness(RayWithTail(100), 2, Fuel()) == edge_set([(-1, 0), (0, 1)])
 
 
+@pytest.mark.parametrize("name", ["nat-line", "grid"])
+@pytest.mark.parametrize("command,rest", [
+    ("automatic-eval", ("--formula", "(exists u (in-l u))")),
+    ("automatic-euler", ("--which", "one-way")),
+])
+def test_a_builtin_presentation_header_replays(capsys, name, command, rest):
+    code = main([command, "--presentation", name, *rest])
+    out = capsys.readouterr().out
+    header = [ln for ln in out.splitlines() if ln.startswith("#   presentation = ")]
+    assert len(header) == 1
+    again = main([command, "--presentation", header[0].split(" = ", 1)[1], *rest])
+    assert (again, capsys.readouterr().out) == (code, out)
+
+
 def test_header_lists_the_inputs(cli):
     out, _ = cli("decide-comp", "--graph", "int-line", "--edges", "(2,3)",
                  "--ends", "2", "--witness", "(-1,0);(0,1)")

@@ -30,6 +30,7 @@ from graphends.gadgets import (
     parse_graph_spec,
     tree_lambda,
 )
+from graphends import paths
 from graphends.paths import (
     SimplePath,
     _escapes_outward,
@@ -467,6 +468,18 @@ def test_tree_sep_binary_tree_root_star():
     g = BinaryTree()
     e = edge_set([(1, 2), (1, 3)])
     assert tree_sep_from_path(g, e, _always) is True
+
+
+def test_tree_sep_walks_each_component_once(monkeypatch):
+    # e leaves three components, holding the endpoints {2, 3}, {4} and {6};
+    # each is walked once, from its least endpoint, and 3 is found on 2's walk
+    walked = []
+    layers = paths._tree_layers
+    monkeypatch.setattr(paths, "_tree_layers",
+                        lambda g, a, *rest: walked.append(a) or layers(g, a, *rest))
+    e = edge_set([(2, 4), (3, 6)])
+    assert tree_sep_from_path(BinaryTree(), e, lambda p: False) is False
+    assert walked == [2, 4, 6]
 
 
 def test_tree_sep_two_scattered_cuts_regression():
