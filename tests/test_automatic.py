@@ -160,6 +160,7 @@ def test_constructor_tolerates_entries_for_non_states():
     assert d.transitions == {**table, **extra}
     assert d.states == {"a", "b"}
     assert d.accepts(("1", "1")) and not d.accepts(("1",))
+    assert domain_words(d, 2) == [(), ("0",), ("0", "0"), ("1", "1")]
 
 
 def test_constructor_reads_a_none_target_as_missing():
