@@ -303,8 +303,6 @@ def conv_alphabet(sigma: Iterable[str], arity: int) -> FrozenSet[Tuple[str, ...]
     """Tuple letters over sigma plus the pad, without the all-pad letter."""
     if arity < 0:
         raise ArityMismatch("arity must be >= 0")
-    if arity == 0:
-        return frozenset()
     padded = sorted(sigma) + [PAD]
     return frozenset(t for t in _cartesian(padded, repeat=arity)
                      if any(c != PAD for c in t))
@@ -319,8 +317,6 @@ def pad_dfa(sigma: Iterable[str], arity: int) -> Dfa:
     """Accepts exactly the well-padded convolutions: per track, once the pad
     appears every later letter on that track is the pad."""
     alpha = conv_alphabet(sigma, arity)
-    if arity == 0:
-        return Dfa(alpha, {0}, 0, {0}, {})
     table = {}
     states = set()
     dead = -1
@@ -340,6 +336,12 @@ def pad_dfa(sigma: Iterable[str], arity: int) -> Dfa:
         table[(dead, t)] = dead
     full = (1 << arity) - 1
     return Dfa(alpha, states, full, states - {dead}, table)
+
+
+def _padded(dfa: Dfa, sigma, arity: int) -> Dfa:
+    """`dfa` cut down to the well-padded convolutions.  With at most one
+    track every word over the alphabet is well-padded already."""
+    return dfa.intersect(pad_dfa(sigma, arity)) if arity >= 2 else dfa
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +465,13 @@ class CountSemiring:
 class RelationAutomaton:
     """A regular relation of fixed arity, read through convolution.
 
-    The base automaton accepts only well-padded convolutions; the
-    constructors below guarantee that by intersecting with `pad_dfa`.
+    Invariant: `dfa` reads `conv_alphabet(sigma, arity)`, accepts only
+    well-padded convolutions, and is the table `minimized()` returns
+    (states 0..n-1 in breadth-first order).  `relation` establishes it;
+    every operation below keeps it, re-padding (`_padded`) only where an
+    ill-padded word can appear and re-minimising only where the result can
+    be non-minimal.  Arity 0 takes no separate path: over the empty
+    alphabet the automaton has one state, accepting iff the relation holds.
     """
 
     arity: int
@@ -493,8 +500,7 @@ def relation(sigma, arity: int, dfa: Dfa) -> RelationAutomaton:
     want = conv_alphabet(sigma, arity)
     if dfa.alphabet != want:
         raise ArityMismatch("automaton alphabet does not match arity %d" % arity)
-    clean = dfa.intersect(pad_dfa(sigma, arity)).minimized() if arity else dfa.minimized()
-    return RelationAutomaton(arity, sigma, clean)
+    return RelationAutomaton(arity, sigma, _padded(dfa, sigma, arity).minimized())
 
 
 def boolean_op(a: RelationAutomaton, b: RelationAutomaton, op: str) -> RelationAutomaton:
@@ -506,34 +512,26 @@ def boolean_op(a: RelationAutomaton, b: RelationAutomaton, op: str) -> RelationA
         keep = lambda x, y: x or y
     else:
         raise GraphError("unknown boolean op %r" % (op,))
-    if a.arity == 0:
-        ok = keep(a.dfa.accepts(()), b.dfa.accepts(()))
-        return _nullary(a.sigma, ok)
     return RelationAutomaton(a.arity, a.sigma, a.dfa.product(b.dfa, keep).minimized())
 
 
 def relation_not(a: RelationAutomaton) -> RelationAutomaton:
     """Complement within the well-padded universe."""
-    if a.arity == 0:
-        return _nullary(a.sigma, not a.dfa.accepts(()))
-    comp = a.dfa.complement().intersect(pad_dfa(a.sigma, a.arity))
+    comp = _padded(a.dfa.complement(), a.sigma, a.arity)
     return RelationAutomaton(a.arity, a.sigma, comp.minimized())
-
-
-def _nullary(sigma, truth: bool) -> RelationAutomaton:
-    dfa = Dfa(frozenset(), {0}, 0, {0} if truth else set(), {})
-    return RelationAutomaton(0, frozenset(sigma), dfa)
 
 
 def permute_tracks(a: RelationAutomaton, order: Sequence[int]) -> RelationAutomaton:
     order = tuple(order)
     if sorted(order) != list(range(a.arity)):
         raise ArityMismatch("not a permutation of %d tracks" % a.arity)
-    if a.arity == 0:
-        return a
-    new_alpha = conv_alphabet(a.sigma, a.arity)
-    dfa = a.dfa.map_symbols(lambda t: tuple(t[i] for i in order), new_alpha)
-    return RelationAutomaton(a.arity, a.sigma, dfa.minimized())
+    # Renaming letters keeps a minimal automaton minimal and the alphabet
+    # the same set; only the breadth-first numbering can change.
+    A = a.dfa
+    old = {tuple(t[i] for i in order): t for t in A.alphabet}
+    dfa = _explored(A.alphabet, A.start, lambda q, t: A.transitions[(q, old[t])],
+                    lambda q: q in A.accepting)
+    return RelationAutomaton(a.arity, a.sigma, dfa)
 
 
 def cylindrify(a: RelationAutomaton, position: int) -> RelationAutomaton:
@@ -546,7 +544,7 @@ def cylindrify(a: RelationAutomaton, position: int) -> RelationAutomaton:
     for q in a.dfa.states:
         for t in alpha:
             old = t[:position] + t[position + 1:]
-            if n and any(c != PAD for c in old):
+            if any(c != PAD for c in old):
                 table[(q, t)] = a.dfa.transitions[(q, old)]
             else:
                 # the original tracks have all ended; freeze while the new
@@ -580,19 +578,17 @@ def project_exists(a: RelationAutomaton, track: Optional[int] = None) -> Relatio
                 continue
             moves.setdefault((q, kept(t)), set()).add(A.transitions[(q, t)])
 
-    m = n - 1
-    if m == 0:
-        return _nullary(a.sigma, A.start in closure)
-
     def move(state_set, sym):
         out = set()
         for q in state_set:
             out |= moves.get((q, sym), set())
         return frozenset(out)
 
-    det = _explored(conv_alphabet(a.sigma, m), frozenset({A.start}), move,
+    # Erasing a track from well-padded words leaves well-padded words: once
+    # every kept track has ended, only erased-track letters follow.
+    det = _explored(conv_alphabet(a.sigma, n - 1), frozenset({A.start}), move,
                     lambda s: bool(s & closure))
-    return relation(a.sigma, m, det)
+    return RelationAutomaton(n - 1, a.sigma, det.minimized())
 
 
 # The test each counting mode puts to a count class.
@@ -604,8 +600,7 @@ _COUNTING_TESTS = {"even": "is_even", "odd": "is_odd",
 _COUNTING_LIMIT = 200_000
 
 
-def counting_project(a: RelationAutomaton, mode: str,
-                     semiring: Optional[CountSemiring] = None) -> RelationAutomaton:
+def counting_project(a: RelationAutomaton, mode: str) -> RelationAutomaton:
     """Erase the last track, keeping the tuples whose number of completions
     falls in the requested cardinality class.
 
@@ -616,7 +611,7 @@ def counting_project(a: RelationAutomaton, mode: str,
         raise GraphError("unknown counting mode %r" % (mode,))
     if a.arity == 0:
         raise ArityMismatch("nothing to count in a nullary relation")
-    sr = semiring or CountSemiring()
+    sr = CountSemiring()
     matches = lambda c: getattr(c, _COUNTING_TESTS[mode])
     A = a.dfa
     m = a.arity - 1
@@ -629,8 +624,6 @@ def counting_project(a: RelationAutomaton, mode: str,
     done = {q: sr.one if q in A.accepting else sr.zero for q in A.states}
     live = {q: sr.sum([done[q]] + [from_state[p] for p in tail_next[q]])
             for q in A.states}
-    if m == 0:
-        return _nullary(a.sigma, matches(live[A.start]))
 
     # Totals are only ever added from here on, so count classes are merged
     # into the coarsest additive congruence that refines `matches`: two
@@ -697,7 +690,9 @@ def counting_project(a: RelationAutomaton, mode: str,
         alpha, frozenset(i for i, c in enumerate(residuals) if hit[c[start]]),
         lambda s, sym: frozenset(i for i, t in enumerate(target[sym]) if t in s),
         lambda s: 0 in s, lambda k: check_size(len(residuals), k))
-    return relation(a.sigma, m, det.minimized())
+    # relation() re-pads: an ill-padded prefix has no completions, a count
+    # that `even` accepts
+    return relation(a.sigma, m, det)
 
 
 def _path_count_classes(states, next_map, accepting, sr: CountSemiring):
@@ -755,19 +750,17 @@ def word_equality(sigma) -> RelationAutomaton:
     return relation(sigma, 2, dfa)
 
 
-def llex_less(sigma, order: Optional[Sequence[str]] = None) -> RelationAutomaton:
+def llex_less(sigma) -> RelationAutomaton:
     """Accepts (u, v) iff u is strictly length-lexicographically below v:
-    shorter wins; equal lengths fall back to the symbol order."""
-    ranks = {s: i for i, s in enumerate(order or sorted(sigma))}
-    if set(ranks) != set(sigma):
-        raise GraphError("symbol order must cover the alphabet exactly")
+    shorter wins; equal lengths fall back to the symbol order of
+    `sorted(sigma)`."""
     table = {}
     for t in conv_alphabet(sigma, 2):
         x, y = t
         if x != PAD and y != PAD:
-            if ranks[x] == ranks[y]:
+            if x == y:
                 moves = [("eq", "eq"), ("lt", "lt"), ("gt", "gt")]
-            elif ranks[x] < ranks[y]:
+            elif x < y:
                 moves = [("eq", "lt"), ("lt", "lt"), ("gt", "gt")]
             else:
                 moves = [("eq", "gt"), ("lt", "lt"), ("gt", "gt")]

@@ -11,7 +11,8 @@ contributes `('raised', type name, str(exc))`, and a Presentation is hashed
 as `serialize_presentation` text, since its default repr holds object
 addresses.  For logic-battery a second sha256 takes every `Dfa.minimized()`
 table built during the run (TABLE_DIGESTS), so a change to how automata
-are built or minimized must leave each minimal table identical.  It
+are built or minimized must leave each minimal table identical; the
+number of tables hashed is printed beside the digest.  It
 also hashes the standard output and exit code of `sh demos/cli_tour.sh`
 and of each `demos/*.py`, run with `src` on PYTHONPATH, and the `--help`
 text of the CLI and of each of its commands, at 80 columns (TEXT_DIGESTS).
@@ -49,8 +50,8 @@ DIGESTS = {
 }
 TABLE_DIGESTS = {
     "logic-battery": (
-        "f3cc1b225d83c090c7e41f508b6e1afcf1a4068931e8d98ed09c95d81212829c",
-        "b9d7b51be2b18cead7f9515b9e07b9dbbaa2d7bf170250e8acca172da1858591",
+        "3b43972edb39fbbeae6230fdbe1dee34dad06bf17a5c6b88b9d94d77f0bb6e8f",
+        "4c88626255d0cf0bad6cbb4bdcc882ea6ce87fdf4e7363e5b81c3fc8db3b2db7",
     ),
 }
 TEXT_DIGESTS = {
@@ -106,13 +107,17 @@ MODULES = {"sep-stages": "sep_stages", "cli-windows": "cli_windows",
 
 
 def digests(workload: str, seed: int):
-    """sha256 of the operations' outputs, and of every minimized table."""
+    """sha256 of the operations' outputs, sha256 of every minimized table,
+    and the number of tables."""
     from graphends.automatic import Dfa, Presentation, serialize_presentation
     outputs, tables = hashlib.sha256(), hashlib.sha256()
     minimized = Dfa.minimized
+    count = 0
 
     def recorded(dfa):
+        nonlocal count
         m = minimized(dfa)
+        count += 1
         tables.update(repr((sorted(m.alphabet), m.start, sorted(m.accepting),
                             sorted(m.transitions.items()))).encode())
         return m
@@ -129,7 +134,7 @@ def digests(workload: str, seed: int):
             outputs.update(repr((op.name, out)).encode())
     finally:
         Dfa.minimized = minimized
-    return outputs.hexdigest(), tables.hexdigest()
+    return outputs.hexdigest(), tables.hexdigest(), count
 
 
 def _run(argv) -> bytes:
@@ -164,17 +169,19 @@ def main(argv) -> int:
     results = []
     for workload, want in DIGESTS.items():
         for seed, expected in enumerate(want, start=1):
-            outputs, tables = digests(workload, seed)
-            results.append(("%s seed %d" % (workload, seed), outputs, expected))
+            outputs, tables, count = digests(workload, seed)
+            results.append(("%s seed %d" % (workload, seed), outputs, expected, ""))
             if workload in TABLE_DIGESTS:
                 results.append(("%s minimized tables seed %d" % (workload, seed),
-                                tables, TABLE_DIGESTS[workload][seed - 1]))
-    results += [(key, got, TEXT_DIGESTS.get(key)) for key, got in text_digests().items()]
+                                tables, TABLE_DIGESTS[workload][seed - 1],
+                                "  (%d tables)" % count))
+    results += [(key, got, TEXT_DIGESTS.get(key), "") for key, got in text_digests().items()]
     bad = 0
-    for key, got, expected in results:
+    for key, got, expected, note in results:
         ok = got == expected
         bad += not ok
-        print("%s %s%s" % (key, got, "" if not check or ok else "  MISMATCH, want %s" % expected))
+        print("%s %s%s%s" % (key, got, note,
+                             "" if not check or ok else "  MISMATCH, want %s" % expected))
     return 1 if check and bad else 0
 
 

@@ -276,6 +276,11 @@ def test_minimized_against_brute_languages(seed):
         for variant in (renamed(rng, d), with_unreachable_copies(rng, d),
                         with_split_state(rng, with_split_state(rng, d))):
             assert table_of(variant.minimized()) == table_of(m)
+        # read as a unary relation, which skips the pad product: every
+        # one-track word is well-padded
+        unary = d.map_symbols(lambda a: (a,), conv_alphabet(d.alphabet, 1))
+        assert (table_of(relation(d.alphabet, 1, unary).dfa)
+                == table_of(unary.intersect(pad_dfa(d.alphabet, 1)).minimized()))
 
 
 def test_minimized_is_canonical():
@@ -410,9 +415,49 @@ def test_project_exists_against_the_fixed_point_closure(arity):
         for track in range(arity):
             got, want = project_exists(rel, track), _reference_project_exists(rel, track)
             if arity == 1:
-                assert got.dfa.accepts(()) is want
+                assert_nullary(got, want)
             else:
                 assert got.equivalent(relation(SIGMA, arity - 1, want))
+            # projection skips relation()'s pad product and re-minimisation
+            assert table_of(relation(SIGMA, arity - 1, got.dfa).dfa) == table_of(got.dfa)
+
+
+def assert_nullary(rel, truth):
+    """One state over the empty alphabet, accepting the empty tuple iff
+    `truth`."""
+    assert rel.arity == 0 and rel.dfa.alphabet == frozenset()
+    assert rel.dfa.states == {0} and rel.dfa.start == 0
+    assert rel.dfa.accepts(()) is truth
+
+
+def test_nullary_relations_take_the_general_path():
+    conv1 = conv_alphabet(SIGMA, 1)
+    star = {(0, t): 0 for t in conv1}
+    upto1 = {("e", t): "1" for t in conv1}
+    only2 = {(q, t): r for q, r in (("e", "1"), ("1", "2")) for t in conv1}
+    unary = {   # a unary relation, and how many words it holds (None: infinitely many)
+        0: Dfa(conv1, {0}, 0, set(), star),
+        1: Dfa.make(conv1, "e", {"e"}, {}),
+        3: Dfa.make(conv1, "e", {"e", "1"}, upto1),
+        4: Dfa.make(conv1, "e", {"2"}, only2),
+        None: Dfa(conv1, {0}, 0, {0}, star),
+    }
+    nullary = {}
+    for count, dfa in unary.items():
+        rel = relation(SIGMA, 1, dfa)
+        assert_nullary(project_exists(rel), _reference_project_exists(rel, 0))
+        nullary[count != 0] = project_exists(rel)
+        finite = count is not None
+        want = {"even": finite and count % 2 == 0, "odd": finite and count % 2 == 1,
+                "infinite": not finite, "exactly_one": count == 1}
+        for mode, truth in want.items():
+            assert_nullary(counting_project(rel, mode), truth)
+    for x, a in nullary.items():
+        assert_nullary(relation_not(a), not x)
+        assert_nullary(permute_tracks(a, ()), x)
+        for y, b in nullary.items():
+            assert_nullary(boolean_op(a, b, "and"), x and y)
+            assert_nullary(boolean_op(a, b, "or"), x or y)
 
 
 def test_map_symbols_requires_injectivity():
@@ -539,6 +584,18 @@ def test_permute_is_an_involution():
     assert permute_tracks(permute_tracks(adj, (1, 0)), (1, 0)).equivalent(adj)
     with pytest.raises(ArityMismatch):
         permute_tracks(adj, (0, 0))
+    # permute_tracks only renumbers: the table is the one that renaming the
+    # letters and minimising again gives
+    rng = random.Random(99)
+    for _ in range(3):
+        p = random_presentation(rng)
+        path = boolean_op(cylindrify(p.adjacency, 2), cylindrify(p.adjacency, 0), "and")
+        for rel in (p.adjacency, path):
+            for order in itertools.permutations(range(rel.arity)):
+                letters = rel.dfa.map_symbols(lambda t: tuple(t[i] for i in order),
+                                              rel.dfa.alphabet)
+                assert (table_of(permute_tracks(rel, order).dfa)
+                        == table_of(relation(rel.sigma, rel.arity, letters).dfa))
 
 
 def test_arity_discipline():
@@ -577,6 +634,10 @@ def test_counting_on_the_half_line():
     assert even.equivalent(boolean_op(dom, relation_not(origin_only), "and"))
     assert counting_project(rel, "infinite").is_empty()
     assert counting_project(rel, "exactly_one").equivalent(origin_only)
+    # an ill-padded pair has no completions, a count that `even` accepts;
+    # the result still holds well-padded pairs only
+    pairs = counting_project(cylindrify(rel, 0), "even")
+    assert pairs.dfa.product(pad_dfa(one, 2), lambda x, y: x and not y).is_empty()
 
 
 def test_counting_infinite_sections():
@@ -657,9 +718,8 @@ class ZeroLastSemiring(CountSemiring):
         return tuple(reversed(super().elements))
 
 
-def test_counting_ignores_the_order_of_semiring_elements():
-    zero_last = ZeroLastSemiring()
-    assert zero_last.elements[-1] == zero_last.zero
+def test_counting_ignores_the_order_of_semiring_elements(monkeypatch):
+    assert ZeroLastSemiring().elements[-1] == CountSemiring().zero
     nat = nat_line_presentation()
     dom = domain_as_relation(nat)
     every_pair = boolean_op(cylindrify(dom, 1), cylindrify(dom, 0), "and")
@@ -668,10 +728,12 @@ def test_counting_ignores_the_order_of_semiring_elements():
     for _ in range(8):
         p = random_presentation(rng)
         rels.append(boolean_op(guarded_adjacency(p), length_band(2), "and"))
-    for rel in rels:
-        for mode in ("even", "odd", "infinite", "exactly_one"):
-            assert counting_project(rel, mode, zero_last).equivalent(
-                counting_project(rel, mode)), mode
+    modes = ("even", "odd", "infinite", "exactly_one")
+    want = [[counting_project(rel, mode) for mode in modes] for rel in rels]
+    monkeypatch.setattr(automatic, "CountSemiring", ZeroLastSemiring)
+    for rel, row in zip(rels, want):
+        for mode, expected in zip(modes, row):
+            assert counting_project(rel, mode).equivalent(expected), mode
 
 
 def nth_letter_from_the_end(k):
