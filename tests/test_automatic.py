@@ -445,8 +445,9 @@ def test_nullary_relations_take_the_general_path():
     nullary = {}
     for count, dfa in unary.items():
         rel = relation(SIGMA, 1, dfa)
-        assert_nullary(project_exists(rel), _reference_project_exists(rel, 0))
-        nullary[count != 0] = project_exists(rel)
+        exists = project_exists(rel)
+        assert_nullary(exists, _reference_project_exists(rel, 0))
+        nullary[count != 0] = exists
         finite = count is not None
         want = {"even": finite and count % 2 == 0, "odd": finite and count % 2 == 1,
                 "infinite": not finite, "exactly_one": count == 1}
